@@ -1,6 +1,6 @@
 """P5 — performance: the sharded multiprocessing LID engine.
 
-Engineering companion (not a paper claim).  Three measurements:
+Engineering companion (not a paper claim).  Two measurements:
 
 1. **Parallel speedup** — ``lid_matching_fast`` (single-process,
    round-batched numpy) vs ``sharded_lid_matching`` with four shards in
@@ -12,13 +12,7 @@ Engineering companion (not a paper claim).  Three measurements:
    the row is still written, and ``benchmarks/gate.py`` enforces the
    bound from the CSV in CI (where the jit leg installs ``.[dev,jit]``).
 
-2. **k=1 overhead** — the sharded engine collapsed to one shard is the
-   same wave schedule as the fast engine (bit-identical, asserted), so
-   the k=1 wall-clock gap is exactly the cost of the sharding machinery
-   (mailbox indirection + per-shard state).  Reported as
-   ``k1_overhead_pct`` and CI-gated with a direct ``--max`` bound.
-
-3. **Million-node trajectory** — one sharded run at n = 10^6 under a
+2. **Million-node trajectory** — one sharded run at n = 10^6 under a
    :class:`ResourceSampler`: peak RSS, edges/s throughput, cut-edge
    traffic.  This is the scale row docs/performance.md tracks; the CI
    gate asserts the row exists (the fast engine's F2 series stops at
@@ -45,8 +39,6 @@ from repro.telemetry.resources import ResourceSampler
 SPEEDUP_GATE_N = 200_000
 SPEEDUP_GATE = 2.0
 SPEEDUP_WORKERS = 4
-K1_N = 50_000
-K1_OVERHEAD_GATE_PCT = 100.0  # k=1 sharding machinery must stay < 2x fast
 SCALE_N = 1_000_000
 
 
@@ -92,42 +84,6 @@ def synthetic_instance(n, avg_deg, seed, quota=3):
 def test_p5_sharded_speedup(report, benchmark, bench_seed):
     rows = []
 
-    # -- k=1 overhead: same schedule, so the gap is pure machinery -----
-    fi = synthetic_instance(K1_N, 6, bench_seed)
-    k = 3
-    t_fast = t_k1 = float("inf")
-    overhead = float("inf")
-    for _ in range(k):
-        # interleaved pairs: adjacent timings share the machine's slow
-        # drift, so the per-pair ratio is stabler than a quotient of
-        # independently-taken minima (same idiom as bench_p4)
-        fast, tf = _best_of(lambda: lid_matching_fast(fi), k=1)
-        sh, ts = _best_of(lambda: sharded_lid_matching(fi, shards=1), k=1)
-        t_fast, t_k1 = min(t_fast, tf), min(t_k1, ts)
-        overhead = min(overhead, 100.0 * (ts / max(tf, 1e-9) - 1.0))
-    assert sh.matching.edge_set() == fast.matching.edge_set()
-    assert np.array_equal(sh.props_sent, fast.props_sent)
-    assert np.array_equal(sh.rejs_sent, fast.rejs_sent)
-    assert sh.metrics.events == fast.metrics.events
-    rows.append(
-        {
-            "n": K1_N,
-            "m": fi.m,
-            "shards": 1,
-            "workers": 0,
-            "jit": sh.jit,
-            "fast_ms": 1e3 * t_fast,
-            "sharded_ms": 1e3 * t_k1,
-            "k1_overhead_pct": overhead,
-            "identical": True,
-        }
-    )
-    if NUMBA_AVAILABLE:
-        assert overhead <= K1_OVERHEAD_GATE_PCT, (
-            f"k=1 sharding machinery costs {overhead:.1f}%"
-            f" > {K1_OVERHEAD_GATE_PCT:.0f}% over lid_matching_fast"
-        )
-
     # -- 4-shard / 4-worker speedup at the gate size -------------------
     fi = synthetic_instance(SPEEDUP_GATE_N, 6, bench_seed)
     t_fast = t_sh = float("inf")
@@ -161,9 +117,9 @@ def test_p5_sharded_speedup(report, benchmark, bench_seed):
     report(
         rows,
         ["n", "m", "shards", "workers", "jit", "fast_ms", "sharded_ms",
-         "speedup", "k1_overhead_pct", "cut_messages", "identical"],
+         "speedup", "cut_messages", "identical"],
         title="P5  sharded multiprocessing LID vs single-process fast engine"
-              " (identical = same matching; k=1 additionally bit-identical)",
+              " (identical = same matching)",
         csv_name="p5_sharded_lid.csv",
     )
     # the 2x bound needs real cores and the compiled kernel; CI enforces

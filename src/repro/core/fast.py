@@ -41,6 +41,7 @@ import numpy as np
 from repro.core.matching import Matching
 from repro.core.preferences import PreferenceSystem
 from repro.core.weights import WeightTable
+from repro.utils.validation import check_quotas
 
 __all__ = [
     "FastInstance",
@@ -172,8 +173,7 @@ class FastInstance:
         cls, wt: WeightTable, quotas: Sequence[int]
     ) -> "FastInstance":
         """Lower an arbitrary positive-weight table (Theorem 2 inputs)."""
-        if len(quotas) != wt.n:
-            raise ValueError(f"quotas length {len(quotas)} != n={wt.n}")
+        quota = np.asarray(check_quotas(quotas, wt.n), dtype=np.int64)
         m = wt.m
         i = np.empty(m, dtype=np.int64)
         j = np.empty(m, dtype=np.int64)
@@ -185,7 +185,6 @@ class FastInstance:
         # restore the canonical ascending (i, j) invariant — weight
         # tables built from arbitrary triples carry insertion order
         canon = np.lexsort((j, i))
-        quota = np.asarray([int(q) for q in quotas], dtype=np.int64)
         return cls(wt.n, i[canon], j[canon], w[canon], quota)
 
     # ------------------------------------------------------------------

@@ -56,15 +56,22 @@ reverse slot via the unique undirected-edge codes also used by
   fully vectorised: a NumPy mask proposes to the top ``min(b_i, deg_i)``
   weight-list entries of every node at once, and nodes with an empty
   effective quota terminate immediately with a bulk REJ fan-out.
-- **Rounds ≥ 1** run a tight flat-array state machine over the wave:
-  per-slot ``U``/``P``/``A``/``K`` membership is four flag bits in one
-  state bytearray (one read + one write per transition), the per-node
-  weight-list cursor a plain list, so one delivery costs a handful of
-  list/bytearray index operations instead of the simulator's object
-  machinery.
+- **Rounds ≥ 1** run the one wave kernel of
+  :mod:`repro.core.sharded_lid`: per-slot ``U``/``P``/``A``/``K``
+  membership is four flag bits in one state bytearray (one read + one
+  write per transition), the per-node weight-list cursor a plain list,
+  so one delivery costs a handful of list/bytearray index operations
+  instead of the simulator's object machinery.
 - Phase timers (``build_weights`` / ``sim_loop`` / ``extract``) are
   recorded in :attr:`SimMetrics.phase_seconds` so benchmarks can
   attribute time; see ``docs/performance.md``.
+
+This engine *is* the sharded driver run with one in-process shard on
+the pure-Python list layout (``jit=False``): round 0, the wave loop, the
+probe sampler, the lock-symmetry checks and the metric assembly exist
+once, in :func:`repro.core.sharded_lid.sharded_lid_matching`.  A
+one-shard run skips the receiver split and the ``partition`` phase, so
+it reports the same three phases as the reference engine.
 
 Every observable of the returned :class:`FastLidResult` — matching,
 per-node PROP/REJ counts, round counts, late messages, per-kind and
@@ -79,15 +86,12 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from repro.core.fast import FastInstance, _coerce_instance
+from repro.core.fast import FastInstance
 from repro.core.matching import Matching
 from repro.core.preferences import PreferenceSystem
-from repro.core.truncation import TruncationReport, validate_max_rounds
+from repro.core.truncation import TruncationReport
 from repro.core.weights import WeightTable
 from repro.distsim.metrics import SimMetrics
-from repro.telemetry.probes import ProbeSample
-from repro.telemetry.spans import Telemetry
-from repro.utils.validation import ProtocolError
 
 __all__ = ["FastLidResult", "lid_matching_fast"]
 
@@ -211,7 +215,11 @@ def lid_matching_fast(
     Bit-identical to ``run_lid(wt, quotas)`` with default channel
     parameters (reliable FIFO unit-latency, no loss, no trace): same
     matching, same per-node ``props_sent``/``rejs_sent``, same round and
-    late-message counts, same metric counters.
+    late-message counts, same metric counters.  Runs
+    :func:`~repro.core.sharded_lid.sharded_lid_matching` with one
+    in-process shard on the pure-Python layout, so the result is a
+    :class:`~repro.core.sharded_lid.ShardedLidResult` with
+    ``shards == 1``.
 
     Parameters
     ----------
@@ -221,6 +229,8 @@ def lid_matching_fast(
         ``quotas``).
     quotas:
         Connection quotas ``b_i``; defaults to the source's own quotas.
+        Explicit quotas must be non-negative integers (``ValueError``
+        names the first offending node).
     max_events:
         Hang-detector budget counted over *processed* (non-late)
         deliveries, mirroring the simulator's documented default
@@ -249,254 +259,15 @@ def lid_matching_fast(
         ``O(m)`` NumPy scan per tick; the wave hot loop itself is
         untouched.
     """
-    max_rounds = validate_max_rounds(max_rounds)
-    tel = telemetry if telemetry is not None else Telemetry()
-    mark = tel.mark()
-    with tel.span("build_weights"):
-        fi = _coerce_instance(src, quotas)
-        n, m = fi.n, fi.m
-        if quotas is None:
-            quota = fi.quota
-        else:
-            quota = np.asarray([int(q) for q in quotas], dtype=np.int64)
-            if quota.shape != (n,):
-                raise ValueError(f"quotas length {len(quotas)} != n={n}")
+    from repro.core.sharded_lid import sharded_lid_matching
 
-        start, nbr, rev, owner = _directed_layout(fi)
-        deg = np.diff(start)
-
-        # ---- round 0: vectorised initial top-up + bulk REJ fan-out ----
-        eff = np.minimum(quota, deg)  # proposals each node can place now
-        slot_pos = np.arange(2 * m, dtype=np.int64) - start[owner]
-        prop0 = slot_pos < eff[owner]  # top-of-weight-list burst
-        fin0 = eff <= 0  # quota 0 or no neighbours: terminate at once
-        rej0 = fin0[owner]  # ... broadcasting REJ to every neighbour
-
-        # A message is one int carrying everything its *receiver* needs:
-        # ``receiver << SH | receiver_slot << 1 | is_rej``.  Sender slot
-        # s delivers on the receiver's paired slot rev[s] of node
-        # nbr[s], so the handler below runs on two shifts and zero
-        # table lookups.
-        rbits = (2 * m).bit_length()
-        SH = rbits + 1
-        RMASK = (1 << rbits) - 1
-        packed = (nbr << SH) | (rev << 1)  # indexed by *sender* slot
-        cur = (packed | rej0)[prop0 | rej0].tolist()
-        packed_l = packed.tolist()
-
-        # ---- per-slot / per-node protocol state -----------------------
-        # one flag byte per directed slot: U membership, P membership,
-        # A (approached) and K (locked) — single read/write per
-        # transition
-        IN, PR, AP, LK = 1, 2, 4, 8
-        st = bytearray(
-            (np.where(rej0, 0, IN) | np.where(prop0, PR, 0))
-            .astype(np.uint8)
-            .tobytes()
-        )
-        finished = bytearray(fin0.astype(np.uint8).tobytes())
-        room = (quota - eff).tolist()  # b_i - |P_i|: top-up capacity left
-        n_out = eff.tolist()  # |P_i \ K_i|  (outstanding proposals)
-        cursor = (start[:-1] + eff).tolist()  # weight-list scan position
-        props = eff.tolist()
-        rejs = np.where(fin0, deg, 0).tolist()
-        received = [0] * n
-
-        end_l = start.tolist()[1:]
-
-        if max_events is None:
-            max_events = 1000 + 500 * n + 50 * len(cur)
-
-    total_quota = int(quota.sum())
-
-    def _sample(tick: float) -> None:
-        """One probe sample — the array equivalent of ``sample_nodes``."""
-        stv = np.frombuffer(bytes(st), dtype=np.uint8)
-        lk_mask = (stv & LK) != 0
-        locks = int(lk_mask.sum())
-        matched = (
-            int(np.count_nonzero(np.bincount(owner[lk_mask], minlength=n)))
-            if locks
-            else 0
-        )
-        probe.record(
-            ProbeSample(
-                t=float(tick),
-                locks=locks,
-                matched_nodes=matched,
-                finished_nodes=int(sum(finished)),
-                outstanding_props=int(sum(n_out)),
-                props_sent=int(sum(props)),
-                rejs_sent=int(sum(rejs)),
-                quota_fill=(locks / total_quota) if total_quota else 0.0,
-            )
-        )
-
-    probe_tick = 0.0
-
-    # ---- synchronous waves: round r delivers round r-1's sends --------
-    rounds = 0
-    events = 0
-    processed = 0  # non-late deliveries, charged against max_events
-    late = 0
-    delivered_prop = 0
-    delivered_rej = 0
-    max_depth = 0
-    with tel.span("sim_loop"):
-        while cur:
-            if max_rounds is not None and rounds >= max_rounds:
-                break  # round budget spent: drop the in-flight wave
-            if probe is not None:
-                # catch the tick counter up to this wave's delivery time
-                # — the same peek-ahead the reference Simulator.run does
-                while rounds + 1 >= probe_tick:
-                    _sample(probe_tick)
-                    probe_tick += probe.interval
-            rounds += 1
-            events += len(cur)
-            delivered_before = delivered_prop + delivered_rej
-            nxt: list[int] = []
-            append = nxt.append
-            for code in cur:
-                j = code >> SH
-                if finished[j]:
-                    # receiver left its receive loop; the message crossed
-                    # its final REJ broadcast (see §5 termination analysis)
-                    late += 1
-                    continue
-                r = (code >> 1) & RMASK
-                v = st[r]
-                received[j] += 1
-                if code & 1:  # REJ on slot r's edge
-                    delivered_rej += 1
-                    st[r] = v & ~IN
-                    if v & PR:
-                        room[j] += 1
-                        n_out[j] -= 1
-                else:  # PROP on slot r's edge
-                    delivered_prop += 1
-                    if v & (PR | LK) == PR:
-                        # mutual proposal: lock without any extra message
-                        st[r] = (v | AP | LK) & ~IN
-                        n_out[j] -= 1
-                    else:
-                        st[r] = v | AP
-                # top-up: propose to best unproposed unresolved
-                # neighbours while below quota (steps 1/3 of Algorithm 1
-                # — a single cursor sweep, monotone across the whole run)
-                rm = room[j]
-                if rm:
-                    p = cursor[j]
-                    end_j = end_l[j]
-                    while rm and p < end_j:
-                        v = st[p]
-                        if v & (IN | PR) == IN:
-                            rm -= 1
-                            n_out[j] += 1
-                            props[j] += 1
-                            append(packed_l[p])
-                            if v & AP:
-                                st[p] = (v | PR | LK) & ~IN
-                                n_out[j] -= 1
-                            else:
-                                st[p] = v | PR
-                        p += 1
-                    cursor[j] = p
-                    room[j] = rm
-                # termination: no outstanding proposals left (lines
-                # 15-16).  The REJ fan-out scans from cursor[j], not
-                # start[j]: every slot the cursor passed is proposed or
-                # dead, and n_out == 0 means each proposal is locked or
-                # rejected — either way IN is clear below the cursor, so
-                # only the unscanned tail can still hold unresolved
-                # neighbours.
-                if n_out[j] == 0:
-                    finished[j] = 1
-                    sent_rejs = 0
-                    for t in range(cursor[j], end_l[j]):
-                        v = st[t]
-                        if v & IN:
-                            st[t] = v & ~IN
-                            sent_rejs += 1
-                            append(packed_l[t] | 1)
-                    rejs[j] += sent_rejs
-            if delivered_prop + delivered_rej > delivered_before:
-                max_depth = rounds
-            processed = delivered_prop + delivered_rej
-            if processed > max_events:
-                raise ProtocolError(
-                    f"fast LID exceeded {max_events} deliveries without "
-                    "quiescing; likely a protocol bug (Lemma 5 guarantees "
-                    "termination)"
-                )
-            cur = nxt
-        if probe is not None:
-            # quiescence: exactly one final sample, like the reference
-            # engine's empty-queue tick
-            _sample(probe_tick)
-
-    converged = not cur
-    with tel.span("extract"):
-        released = 0
-        if max_rounds is None:
-            if not all(finished):
-                bad = next(i for i in range(n) if not finished[i])
-                raise ProtocolError(
-                    f"node {bad} did not finish (Lemma 5 violated?)"
-                )
-            lk = (np.frombuffer(bytes(st), dtype=np.uint8) & LK) != 0
-            if m and not np.array_equal(lk, lk[rev]):
-                s = int(np.flatnonzero(lk != lk[rev])[0])
-                i_, j_ = int(owner[s]), int(nbr[s])
-                raise ProtocolError(
-                    f"asymmetric lock: {i_} locked {j_} but not vice versa"
-                )
-        else:
-            # truncated: a one-sided lock means the partner's confirming
-            # PROP was still in flight — release it (deterministically)
-            # and keep only the mutual locks, which are feasible by
-            # construction
-            lk_raw = (np.frombuffer(bytes(st), dtype=np.uint8) & LK) != 0
-            lk = lk_raw & lk_raw[rev]
-            released = int(np.count_nonzero(lk_raw & ~lk))
-        half = lk & (owner < nbr)
-        matching = Matching.from_trusted_arrays(n, owner[half], nbr[half])
-
-        metrics = SimMetrics()
-        props_arr = np.asarray(props, dtype=np.int64)
-        rejs_arr = np.asarray(rejs, dtype=np.int64)
-        total_props = int(props_arr.sum())
-        total_rejs = int(rejs_arr.sum())
-        if total_props:
-            metrics.sent_by_kind[PROP] = total_props
-        if total_rejs:
-            metrics.sent_by_kind[REJ] = total_rejs
-        if delivered_prop:
-            metrics.delivered_by_kind[PROP] = delivered_prop
-        if delivered_rej:
-            metrics.delivered_by_kind[REJ] = delivered_rej
-        sent_arr = props_arr + rejs_arr
-        nz = np.flatnonzero(sent_arr)
-        metrics.sent_by_node.update(
-            dict(zip(nz.tolist(), sent_arr[nz].tolist()))
-        )
-        metrics.received_by_node.update(
-            {v: c for v, c in enumerate(received) if c}
-        )
-        metrics.events = events
-        metrics.end_time = float(rounds)
-        metrics.max_depth = max_depth
-    metrics.phase_seconds = tel.phase_seconds(since=mark)
-    return FastLidResult(
-        matching=matching,
-        metrics=metrics,
-        props_sent=props_arr,
-        rejs_sent=rejs_arr,
-        late_messages=late,
-        truncation=TruncationReport(
-            max_rounds=max_rounds,
-            rounds=rounds,
-            converged=converged,
-            released_locks=released,
-        ),
+    return sharded_lid_matching(
+        src,
+        quotas,
+        shards=1,
+        jit=False,
+        max_events=max_events,
+        max_rounds=max_rounds,
+        telemetry=telemetry,
+        probe=probe,
     )

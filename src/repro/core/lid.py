@@ -26,6 +26,12 @@ ratio (Theorem 2) and the ¼(1+1/b_max) satisfaction ratio (Theorem 3).
 
 Implementation notes
 --------------------
+- The sets and every decision live in :class:`LidCore`, the one copy
+  of the rule for the simulated nodes: :class:`LidNode` (raw channels)
+  and :class:`~repro.core.resilient_lid.ResilientLidNode` (reliable
+  channels) only plug in how a message is sent and what happens when a
+  peer answers.  The array engines' counterpart is the single wave
+  kernel of :mod:`repro.core.sharded_lid`.
 - Steps 1 and 3 are implemented by a single ``_top_up`` routine ("while
   ``|P_i| < b_i`` and an unproposed unresolved neighbour exists,
   propose to the best one").  After a rejection of an outstanding
@@ -61,16 +67,165 @@ from repro.distsim.node import ProtocolNode
 from repro.distsim.scheduler import Simulator
 from repro.distsim.tracing import Trace
 from repro.telemetry.spans import Telemetry
-from repro.utils.validation import ProtocolError
+from repro.utils.validation import ProtocolError, check_quotas
 
-__all__ = ["LidNode", "LidResult", "run_lid", "solve_lid"]
+__all__ = ["LidCore", "LidNode", "LidResult", "run_lid", "solve_lid"]
 
 PROP = "PROP"
 REJ = "REJ"
 
 
-class LidNode(ProtocolNode):
-    """State machine of one LID participant.
+class LidCore:
+    """Algorithm 1's per-node state and decision rule, transport-agnostic.
+
+    Holds the paper's four sets over the neighbourhood plus the
+    weight-list scan position, and implements every decision: lock
+    mutual proposals, top up to ``b_i`` down the weight list, and
+    broadcast ``REJ`` once nothing is outstanding.  Concrete nodes
+    (:class:`LidNode` on raw channels,
+    :class:`~repro.core.resilient_lid.ResilientLidNode` on reliable
+    ones) mix it in ahead of their transport base class and supply two
+    hooks:
+
+    - :meth:`_send` — transmit one protocol message (and arm whatever
+      the transport needs for a ``PROP``: a retransmit timer, or a
+      liveness watch);
+    - :meth:`_answered` — peer ``j`` answered (locked or rejected); the
+      resilient node stops watching it.
+
+    After finishing, a node with ``polite = False`` hard-terminates;
+    polite nodes stay up to answer stray proposals.
+    """
+
+    polite = False
+
+    def _init_lid(self, weight_list: Sequence[int], quota: int) -> None:
+        self.weight_list: list[int] = list(weight_list)
+        self.quota = int(quota)
+        # protocol sets (paper names)
+        self.unresolved: set[int] = set()   # U_i
+        self.proposed: set[int] = set()     # P_i
+        self.approachers: set[int] = set()  # A_i
+        self.locked: set[int] = set()       # K_i
+        self._pos = 0  # weight-list scan position (next unproposed candidate)
+        self.finished = False
+        # statistics
+        self.props_sent = 0
+        self.rejs_sent = 0
+        self.anomalies = 0
+
+    # -- hooks -----------------------------------------------------------
+
+    def _send(self, j: int, kind: str) -> None:  # pragma: no cover - abstract
+        raise NotImplementedError
+
+    def _answered(self, j: int) -> None:
+        """Peer ``j`` locked or rejected (default: nothing to do)."""
+
+    # -- protocol --------------------------------------------------------
+
+    def on_start(self) -> None:
+        self.unresolved = set(self.weight_list)
+        self._process()
+
+    def _on_prop(self, src: int) -> None:
+        """A fresh ``PROP`` from an unlocked neighbour."""
+        if self.finished:
+            # polite mode: we already rejected everyone; answer the
+            # (necessarily stray) proposal again
+            self._reject(src)
+            return
+        self.approachers.add(src)
+        self._process()
+
+    def _on_rej(self, src: int) -> None:
+        """A ``REJ`` from an unlocked neighbour."""
+        if src not in self.unresolved:
+            self.anomalies += 1  # duplicate REJ
+            return
+        self._forget(src)
+        self._answered(src)
+        self._process()
+
+    def _forget(self, j: int) -> None:
+        """Drop ``j`` from ``U_i`` / ``P_i`` / ``A_i``."""
+        self.unresolved.discard(j)
+        self.proposed.discard(j)
+        self.approachers.discard(j)
+
+    def _reject(self, j: int) -> None:
+        self._send(j, REJ)
+        self.rejs_sent += 1
+
+    def _outstanding(self) -> set[int]:
+        """``P_i \\ K_i`` — proposals awaiting an answer."""
+        return self.proposed - self.locked
+
+    def _propose(self, j: int) -> None:
+        self.proposed.add(j)
+        self._send(j, PROP)
+        self.props_sent += 1
+
+    def _top_up(self) -> bool:
+        """Propose to best unproposed unresolved neighbours up to quota."""
+        sent = False
+        while len(self.proposed) < self.quota:
+            j = self._next_candidate()
+            if j is None:
+                break
+            self._propose(j)
+            sent = True
+        return sent
+
+    def _next_candidate(self) -> Optional[int]:
+        while self._pos < len(self.weight_list):
+            j = self.weight_list[self._pos]
+            self._pos += 1
+            if j in self.unresolved and j not in self.proposed:
+                return j
+        return None
+
+    def _try_lock(self) -> bool:
+        """Lock every mutually proposed edge (lines 12–14)."""
+        ready = self._outstanding() & self.approachers
+        for v in ready:
+            self.locked.add(v)
+            self.approachers.discard(v)
+            self.unresolved.discard(v)
+            self._answered(v)
+        return bool(ready)
+
+    def _process(self) -> None:
+        if self.finished:
+            return
+        changed = True
+        while changed:
+            changed = self._try_lock()
+            changed = self._top_up() or changed
+        if not self._outstanding():
+            self._finish()
+
+    def _finish(self) -> None:
+        """Lines 15–16: reject all unresolved neighbours and stop.
+
+        The broadcast walks the weight list (not the ``unresolved`` set)
+        so the send order is a deterministic function of the instance
+        rather than of hash-table internals; schedules — and therefore
+        message statistics — stay reproducible across interpreters, and
+        the round-batched engine can replay them exactly.
+        """
+        self.finished = True
+        for v in self.weight_list:
+            if v in self.unresolved:
+                self._reject(v)
+        self.unresolved.clear()
+        self.approachers.clear()
+        if not self.polite:
+            self.terminate()
+
+
+class LidNode(LidCore, ProtocolNode):
+    """One LID participant on the simulator's raw channels.
 
     Parameters
     ----------
@@ -119,8 +274,7 @@ class LidNode(ProtocolNode):
         retransmit_rng=None,
     ):
         super().__init__()
-        self.weight_list: list[int] = list(weight_list)
-        self.quota = int(quota)
+        self._init_lid(weight_list, quota)
         self.polite = polite
         self.retransmit_timeout = retransmit_timeout
         if backoff not in ("none", "exponential"):
@@ -137,24 +291,14 @@ class LidNode(ProtocolNode):
         self.backoff_cap = backoff_cap
         self._retx_rng = retransmit_rng
         self._attempts: dict[int, int] = {}  # per-peer unanswered retries
-        # protocol sets (paper names)
-        self.unresolved: set[int] = set()   # U_i
-        self.proposed: set[int] = set()     # P_i
-        self.approachers: set[int] = set()  # A_i
-        self.locked: set[int] = set()       # K_i
-        self._pos = 0  # weight-list scan position (next unproposed candidate)
-        self.finished = False
-        # statistics
-        self.props_sent = 0
-        self.rejs_sent = 0
         self.retransmits_sent = 0
-        self.anomalies = 0
 
-    # -- protocol ------------------------------------------------------
+    # -- transport ---------------------------------------------------------
 
-    def on_start(self) -> None:
-        self.unresolved = set(self.weight_list)
-        self._process()
+    def _send(self, j: int, kind: str) -> None:
+        self.send(j, kind)
+        if kind == PROP and self.retransmit_timeout is not None:
+            self.set_timer(self._retx_delay(j), j)
 
     def on_message(self, src: int, kind: str, payload) -> None:
         if kind == PROP:
@@ -173,26 +317,13 @@ class LidNode(ProtocolNode):
                 else:
                     self.anomalies += 1
                 return
-            if self.finished:
-                # polite mode: we already rejected everyone; answer the
-                # (necessarily retransmitted) proposal again
-                self.send(src, REJ)
-                self.rejs_sent += 1
-                return
-            self.approachers.add(src)
-            self._process()
+            self._on_prop(src)
         elif kind == REJ:
             if src in self.locked:
                 # a locked partner never rejects (only Byzantine peers do)
                 self.anomalies += 1
                 return
-            if src not in self.unresolved:
-                self.anomalies += 1  # duplicate REJ
-                return
-            self.unresolved.discard(src)
-            self.proposed.discard(src)
-            self.approachers.discard(src)
-            self._process()
+            self._on_rej(src)
         else:  # pragma: no cover - defensive
             raise ProtocolError(f"LID node got unknown message kind {kind!r}")
 
@@ -207,8 +338,6 @@ class LidNode(ProtocolNode):
             assert self.retransmit_timeout is not None
             self._attempts[j] = self._attempts.get(j, 0) + 1
             self.set_timer(self._retx_delay(j), j)
-
-    # -- internals -------------------------------------------------------
 
     def _count_retransmit(self) -> None:
         self.retransmits_sent += 1
@@ -226,75 +355,6 @@ class LidNode(ProtocolNode):
         if self._retx_rng is not None:
             d *= 1.0 + 0.1 * float(self._retx_rng.random())
         return d
-
-    def _outstanding(self) -> set[int]:
-        """``P_i \\ K_i`` — proposals awaiting an answer."""
-        return self.proposed - self.locked
-
-    def _propose(self, j: int) -> None:
-        self.proposed.add(j)
-        self.send(j, PROP)
-        self.props_sent += 1
-        if self.retransmit_timeout is not None:
-            self.set_timer(self._retx_delay(j), j)
-
-    def _top_up(self) -> bool:
-        """Propose to best unproposed unresolved neighbours up to quota."""
-        sent = False
-        while len(self.proposed) < self.quota:
-            j = self._next_candidate()
-            if j is None:
-                break
-            self._propose(j)
-            sent = True
-        return sent
-
-    def _next_candidate(self) -> Optional[int]:
-        while self._pos < len(self.weight_list):
-            j = self.weight_list[self._pos]
-            if j in self.unresolved and j not in self.proposed:
-                self._pos += 1
-                return j
-            self._pos += 1
-        return None
-
-    def _try_lock(self) -> bool:
-        """Lock every mutually proposed edge (lines 12–14)."""
-        ready = self._outstanding() & self.approachers
-        for v in ready:
-            self.locked.add(v)
-            self.approachers.discard(v)
-            self.unresolved.discard(v)
-        return bool(ready)
-
-    def _process(self) -> None:
-        if self.finished:
-            return
-        changed = True
-        while changed:
-            changed = self._try_lock()
-            changed = self._top_up() or changed
-        if not self._outstanding():
-            self._finish()
-
-    def _finish(self) -> None:
-        """Lines 15–16: reject all unresolved neighbours and stop.
-
-        The broadcast walks the weight list (not the ``unresolved`` set)
-        so the send order is a deterministic function of the instance
-        rather than of hash-table internals; schedules — and therefore
-        message statistics — stay reproducible across interpreters, and
-        the round-batched engine can replay them exactly.
-        """
-        self.finished = True
-        for v in self.weight_list:
-            if v in self.unresolved:
-                self.send(v, REJ)
-                self.rejs_sent += 1
-        self.unresolved.clear()
-        self.approachers.clear()
-        if not self.polite:
-            self.terminate()
 
 
 @dataclass
@@ -436,8 +496,7 @@ def run_lid(
     from repro.utils.rng import spawn_rng
 
     n = wt.n
-    if len(quotas) != n:
-        raise ValueError(f"quotas length {len(quotas)} != n={n}")
+    quotas = check_quotas(quotas, n)
     max_rounds = validate_max_rounds(max_rounds)
     polite = retransmit_timeout is not None
     tel = telemetry if telemetry is not None else Telemetry()

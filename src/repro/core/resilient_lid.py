@@ -4,11 +4,12 @@ The paper's §7 asks how the greedy strategy copes with unreliable and
 adversarial conditions.  :class:`~repro.core.lid.LidNode` answers the
 narrow question (i.i.d. loss) with a timer-retransmission wrapper; this
 module answers the broad one.  :class:`ResilientLidNode` runs the same
-greedy protocol on top of :class:`~repro.distsim.reliable.ReliableNode`
-— per-link sequence numbers, ACKs, capped exponential backoff with
-seeded jitter, duplicate suppression — and adds a heartbeat failure
-detector so the protocol survives **crashes and partitions**, not just
-loss:
+greedy protocol — literally: its decisions come from the one
+:class:`~repro.core.lid.LidCore` class that :class:`LidNode` also uses
+— on top of :class:`~repro.distsim.reliable.ReliableNode` (per-link
+sequence numbers, ACKs, capped exponential backoff with seeded jitter,
+duplicate suppression), and adds a heartbeat failure detector so the
+protocol survives **crashes and partitions**, not just loss:
 
 - every *pending* peer (an outstanding, unanswered proposal) is
   *watched*; a peer silent beyond ``suspect_after`` is **suspected**:
@@ -48,7 +49,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Optional, Sequence
 
-from repro.core.lid import PROP, REJ
+from repro.core.lid import PROP, REJ, LidCore
 from repro.core.matching import Matching
 from repro.core.truncation import TruncationReport, validate_max_rounds
 from repro.distsim.failures import (
@@ -66,6 +67,7 @@ from repro.distsim.tracing import Trace
 from repro.telemetry.spans import Telemetry
 from repro.core.weights import WeightTable
 from repro.utils.rng import spawn_rng
+from repro.utils.validation import check_quotas
 
 __all__ = [
     "ResilientLidNode",
@@ -75,16 +77,18 @@ __all__ = [
 ]
 
 
-class ResilientLidNode(ReliableNode):
+class ResilientLidNode(LidCore, ReliableNode):
     """One LID participant on reliable channels with failure detection.
 
-    Protocol state mirrors :class:`~repro.core.lid.LidNode` (the paper's
-    ``U_i`` / ``P_i`` / ``A_i`` / ``K_i`` sets plus the weight-list scan
-    position); the differences are confined to fault handling:
+    The protocol state and every decision (lock, top-up, ``REJ``
+    fan-out) come from :class:`~repro.core.lid.LidCore`, shared with
+    :class:`~repro.core.lid.LidNode`; this class adds only what is its
+    own — transport, suspicion, revocation and :attr:`withdrawn`:
 
     - proposals and rejections travel via :meth:`rsend` (reliable), so
       there is no ``payload == "retry"`` duplicate-PROP special case —
       the transport suppresses duplicates before the protocol sees them;
+      every outstanding proposal's peer is *watched* until it answers;
     - :attr:`withdrawn` records peers released by suspicion or
       revocation; they are skipped by the candidate scan and refused
       (``REJ``) if they come back after a heal;
@@ -92,6 +96,8 @@ class ResilientLidNode(ReliableNode):
       keep ACKing retransmissions and answering stray proposals — the
       run ends by queue quiescence, as in the lossy A2 configuration.
     """
+
+    polite = True
 
     def __init__(
         self,
@@ -108,50 +114,42 @@ class ResilientLidNode(ReliableNode):
             suspect_after=suspect_after,
             rng=rng,
         )
-        self.weight_list: list[int] = list(weight_list)
-        self.quota = int(quota)
-        # protocol sets (paper names)
-        self.unresolved: set[int] = set()   # U_i
-        self.proposed: set[int] = set()     # P_i
-        self.approachers: set[int] = set()  # A_i
-        self.locked: set[int] = set()       # K_i
-        self.withdrawn: set[int] = set()    # peers released by fault handling
-        self._pos = 0
-        self.finished = False
-        # statistics
-        self.props_sent = 0
-        self.rejs_sent = 0
-        self.anomalies = 0
+        self._init_lid(weight_list, quota)
+        self.withdrawn: set[int] = set()  # peers released by fault handling
+        # fault statistics
         self.released_locks = 0
         self.post_finish_releases = 0
         self.unreachable_peers = 0
 
+    # -- LidCore hooks -----------------------------------------------------
+
+    def _send(self, j: int, kind: str) -> None:
+        self.rsend(j, kind)
+        if kind == PROP:
+            self.watch(j)
+
+    def _answered(self, j: int) -> None:
+        self.unwatch(j)
+
     # -- protocol --------------------------------------------------------
 
     def on_start(self) -> None:
-        self.unresolved = set(self.weight_list)
         self.start_monitoring()
-        self._process()
+        super().on_start()
 
     def on_datagram(self, src: int, kind: str, payload) -> None:
         if kind == PROP:
             if src in self.withdrawn:
                 # a suspected peer resurfaced after a heal: we already
                 # re-proposed elsewhere, so refuse firmly (and finally)
-                self.rsend(src, REJ)
-                self.rejs_sent += 1
+                self._reject(src)
                 return
             if src in self.locked:
                 # transport dedup means this is not a retransmission —
                 # only a Byzantine peer re-proposes a locked edge
                 self.anomalies += 1
                 return
-            if self.finished:
-                self.rsend(src, REJ)
-                self.rejs_sent += 1
-                return
-            self.approachers.add(src)
-            self._process()
+            self._on_prop(src)
         elif kind == REJ:
             if src in self.locked:
                 # revocation: the partner suspected us during a fault
@@ -160,34 +158,22 @@ class ResilientLidNode(ReliableNode):
                 return
             if src in self.withdrawn:
                 return  # their revoke crossing ours — already resolved
-            if src not in self.unresolved:
-                self.anomalies += 1  # duplicate/Byzantine REJ
-                return
-            self.unresolved.discard(src)
-            self.proposed.discard(src)
-            self.approachers.discard(src)
-            self.unwatch(src)
-            self._process()
+            self._on_rej(src)
         else:
             self.anomalies += 1
 
     def on_peer_suspected(self, peer: int) -> None:
         """A pending peer went silent: release, revoke, re-propose."""
         self.abandon(peer)  # stop retrying the data it never ACKed
-        self.withdrawn.add(peer)
         if peer in self.locked:  # defensive: watched peers are never locked
             self.locked.discard(peer)
             self.released_locks += 1
-        self.proposed.discard(peer)
-        self.unresolved.discard(peer)
-        self.approachers.discard(peer)
+        self._withdraw(peer)
         # Revoke: if the peer is alive behind a partition and locked the
         # crossing proposal, it must release too.  Reliable, so the
         # notice survives a heal within the backoff budget's window.
-        self.rsend(peer, REJ)
-        self.rejs_sent += 1
-        if not self.finished:
-            self._process()
+        self._reject(peer)
+        self._process()
 
     def on_delivery_failed(self, dst: int, kind: str, payload) -> None:
         """Retransmit budget exhausted — the peer is unreachable."""
@@ -202,10 +188,7 @@ class ResilientLidNode(ReliableNode):
             # suspicion (no revocation — it would fail the same way)
             self.unwatch(dst)
             self.suspected.add(dst)
-            self.withdrawn.add(dst)
-            self.proposed.discard(dst)
-            self.unresolved.discard(dst)
-            self.approachers.discard(dst)
+            self._withdraw(dst)
             self._process()
 
     def on_raw_message(self, src: int, kind: str, payload) -> None:
@@ -222,13 +205,15 @@ class ResilientLidNode(ReliableNode):
 
     # -- internals -------------------------------------------------------
 
+    def _withdraw(self, peer: int) -> None:
+        """Release ``peer`` for good: never re-proposed, refused if back."""
+        self.withdrawn.add(peer)
+        self._forget(peer)
+
     def _release(self, src: int) -> None:
         """Drop a locked edge on the partner's revocation."""
         self.locked.discard(src)
-        self.proposed.discard(src)
-        self.unresolved.discard(src)
-        self.approachers.discard(src)
-        self.withdrawn.add(src)
+        self._withdraw(src)
         self.released_locks += 1
         if self.finished:
             # the freed slot stays empty: our final REJs already told
@@ -237,63 +222,6 @@ class ResilientLidNode(ReliableNode):
             self.post_finish_releases += 1
             return
         self._process()
-
-    def _outstanding(self) -> set[int]:
-        return self.proposed - self.locked
-
-    def _propose(self, j: int) -> None:
-        self.proposed.add(j)
-        self.rsend(j, PROP)
-        self.props_sent += 1
-        self.watch(j)
-
-    def _top_up(self) -> bool:
-        sent = False
-        while len(self.proposed) < self.quota:
-            j = self._next_candidate()
-            if j is None:
-                break
-            self._propose(j)
-            sent = True
-        return sent
-
-    def _next_candidate(self) -> Optional[int]:
-        while self._pos < len(self.weight_list):
-            j = self.weight_list[self._pos]
-            if j in self.unresolved and j not in self.proposed:
-                self._pos += 1
-                return j
-            self._pos += 1
-        return None
-
-    def _try_lock(self) -> bool:
-        ready = self._outstanding() & self.approachers
-        for v in ready:
-            self.locked.add(v)
-            self.approachers.discard(v)
-            self.unresolved.discard(v)
-            self.unwatch(v)
-        return bool(ready)
-
-    def _process(self) -> None:
-        if self.finished:
-            return
-        changed = True
-        while changed:
-            changed = self._try_lock()
-            changed = self._top_up() or changed
-        if not self._outstanding():
-            self._finish()
-
-    def _finish(self) -> None:
-        self.finished = True
-        for v in self.weight_list:  # deterministic broadcast order
-            if v in self.unresolved:
-                self.rsend(v, REJ)
-                self.rejs_sent += 1
-        self.unresolved.clear()
-        self.approachers.clear()
-        # stay polite: the transport still owes ACKs and late answers
 
 
 def make_byzantine_resilient(node: ResilientLidNode, mode: str = "reject_all"):
@@ -457,8 +385,7 @@ def run_resilient_lid(
     ``outstanding_props`` spiking across a partition.
     """
     n = wt.n
-    if len(quotas) != n:
-        raise ValueError(f"quotas length {len(quotas)} != n={n}")
+    quotas = check_quotas(quotas, n)
     # The round budget is counted on the reliable-transport clock: under
     # unit latency protocol wave r's deliveries land at virtual time r
     # plus at most a few ULPs of FIFO tie-break skew (ACK traffic sent

@@ -1,11 +1,11 @@
-"""Sharded LID engine: per-shard wave loops with boundary reconciliation.
+"""The array LID engine: one wave kernel, per-shard state, one driver.
 
-:func:`repro.core.fast_lid.lid_matching_fast` replays Algorithm 1 as
-synchronous PROP/REJ waves over one flat-array state machine; its wave
-loop is a single Python thread, which caps the engine near ``n ≈ 10^5``.
-This module is the scale-out path of ROADMAP item 2: partition the
-lowered :class:`~repro.core.fast.FastInstance` into ``k`` contiguous
-node shards, run the *same* wave loop per shard (optionally inside
+Both array engines run here.  :func:`repro.core.fast_lid.lid_matching_fast`
+is this module's driver with a single in-process shard on the
+pure-Python state layout; :func:`sharded_lid_matching` is the scale-out
+path of ROADMAP item 2: partition the lowered
+:class:`~repro.core.fast.FastInstance` into ``k`` contiguous node
+shards, run the *same* wave kernel per shard (optionally inside
 ``multiprocessing`` workers, optionally numba-compiled), and reconcile
 the cut-edge traffic between rounds through an int-packed mailbox.
 
@@ -20,16 +20,28 @@ unit-latency synchronous schedule of the very same protocol — only the
 *within-round* delivery order differs from the reference heap order.
 By Lemmas 3–6 the locked edge set is invariant under any schedule (it
 is exactly the LIC edge set), so the **matching is identical** to
-``run_lid`` / ``lid_matching_fast`` for every ``k``; per-node message
-*statistics* are order-sensitive and may legitimately differ for
-``k > 1``.  With ``k = 1`` the mailbox is the identity and the engine
-replays ``lid_matching_fast`` **bit-identically**, message statistics
-included (pinned in ``tests/core/test_sharded_lid.py``).
+``run_lid`` for every ``k``; per-node message *statistics* are
+order-sensitive and may legitimately differ for ``k > 1``.  With
+``k = 1`` the mailbox is the identity and the wave loop replays
+``run_lid`` **bit-identically**, message statistics included (pinned in
+``tests/core/test_fast_lid.py`` and ``tests/core/test_sharded_lid.py``).
 
-Messages stay single ints (``receiver << SH | receiver_slot << 1 |
-is_rej`` — the exact :mod:`~repro.core.fast_lid` code), so cross-shard
-delivery is an array split (``searchsorted`` over the shard bounds)
-plus a concatenate: no object hops, no per-message routing table.
+Messages are single ints (``receiver << SH | receiver_slot << 1 |
+is_rej``), so cross-shard delivery is an array split (``searchsorted``
+over the shard bounds) plus a concatenate: no object hops, no
+per-message routing table.  A lone shard skips the split entirely.
+
+The wave kernel
+---------------
+
+:func:`_wave_kernel` is the whole transition rule of Algorithm 1 —
+PROP/REJ delivery, mutual-proposal lock, top-up down the weight list,
+``REJ`` fan-out on termination — written once.  Its body runs
+unchanged on two state layouts: lists and bytearrays under CPython
+(scalar list indexing is ~3x faster than scalar ndarray indexing) and
+typed ndarrays under numba.  Only the layout differs between the
+interpreted and compiled paths; the differential tests pin the two
+layouts bit-identical without needing numba installed.
 
 Execution substrates
 --------------------
@@ -42,14 +54,10 @@ Execution substrates
   each round's inboxes and concatenates the returned outboxes.  The
   result is *identical* to the serial executor: parallelism only moves
   where the per-shard computation runs.
-- ``jit`` — ``None`` ("auto") compiles the per-shard wave kernel with
-  numba when it is importable; ``True`` requests it (falling back with
-  a warning when numba is absent — an optional dependency, see
-  ``pyproject.toml``); ``False`` forces the pure-Python list kernel.
-  The array kernel is a plain function (`_wave_kernel_arrays`), so the
-  interpreted and compiled paths are literally the same code object —
-  the differential tests pin the list and array kernels bit-identical
-  to each other without needing numba installed.
+- ``jit`` — ``None`` ("auto") compiles the wave kernel with numba when
+  it is importable (ndarray layout); ``True`` requests it (falling back
+  with a warning when numba is absent — an optional dependency, see
+  ``pyproject.toml``); ``False`` forces the pure-Python list layout.
 
 Partitioning balances *directed slots* (work), not node counts: shard
 boundaries are placed by ``searchsorted`` on the CSR offsets so each
@@ -68,7 +76,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from repro.core.fast import FastInstance, _coerce_instance
-from repro.core.fast_lid import FastLidResult, _directed_layout
+from repro.core.fast_lid import PROP, REJ, FastLidResult, _directed_layout
 from repro.core.matching import Matching
 from repro.core.preferences import PreferenceSystem
 from repro.core.truncation import TruncationReport, validate_max_rounds
@@ -76,7 +84,7 @@ from repro.core.weights import WeightTable
 from repro.distsim.metrics import SimMetrics
 from repro.telemetry.probes import ProbeSample
 from repro.telemetry.spans import Telemetry
-from repro.utils.validation import ProtocolError
+from repro.utils.validation import ProtocolError, check_quotas
 
 __all__ = [
     "NUMBA_AVAILABLE",
@@ -86,10 +94,8 @@ __all__ = [
     "warm_jit_kernels",
 ]
 
-PROP = "PROP"
-REJ = "REJ"
-
-# per-slot protocol flag bits — identical to core.fast_lid
+# one flag byte per directed slot: U membership, P membership,
+# A (approached) and K (locked) — single read/write per transition
 IN, PR, AP, LK = 1, 2, 4, 8
 _INV_IN = 0xFF ^ IN
 
@@ -104,11 +110,11 @@ _JIT_KERNEL = None
 
 
 # ---------------------------------------------------------------------
-# wave kernels
+# the wave kernel
 # ---------------------------------------------------------------------
 
 
-def _wave_kernel_arrays(
+def _wave_kernel(
     inbox,
     st,
     finished,
@@ -126,28 +132,25 @@ def _wave_kernel_arrays(
     sh,
     rmask,
 ):
-    """One shard wave over typed arrays (numba-compilable, plain-Python runnable).
+    """Deliver one wave to one shard (numba-compilable, plain-Python runnable).
 
-    State arrays are *local* to the shard (``st``/``packed``/``end``
-    indexed by ``global_slot - slot_lo``, per-node arrays by
-    ``global_node - node_lo``); message codes stay global.  Emitted
-    codes land in ``out`` (preallocated: a slot sends at most one PROP
-    and one REJ over its lifetime, so ``2 * local_slots`` bounds any
-    wave).  Returns ``(emitted, late, delivered_prop, delivered_rej)``.
-
-    The transition logic is line-for-line the
-    :func:`~repro.core.fast_lid.lid_matching_fast` inner loop; the list
-    kernel below and this function are pinned bit-identical by
-    ``tests/core/test_sharded_lid.py``.
+    State is *local* to the shard (``st``/``packed``/``end`` indexed by
+    ``global_slot - slot_lo``, per-node state by ``global_node -
+    node_lo``); message codes stay global.  Emitted codes land in
+    ``out``, preallocated to the shard's slot count: a slot sends at
+    most one message over the whole run (a PROP when the cursor passes
+    it, or a REJ in the fan-out beyond the cursor), so that bounds any
+    wave.  Returns ``(emitted, late, delivered_prop, delivered_rej)``.
     """
     n_emit = 0
     late = 0
     dp = 0
     dr = 0
-    for idx in range(inbox.shape[0]):
-        code = inbox[idx]
+    for code in inbox:
         j = (code >> sh) - node_lo
-        if finished[j] != 0:
+        if finished[j] > 0:
+            # receiver left its receive loop; the message crossed its
+            # final REJ broadcast (see §5 termination analysis)
             late += 1
             continue
         r = ((code >> 1) & rmask) - slot_lo
@@ -162,10 +165,14 @@ def _wave_kernel_arrays(
         else:  # PROP on slot r's edge
             dp += 1
             if v & (PR | LK) == PR:
+                # mutual proposal: lock without any extra message
                 st[r] = (v | AP | LK) & _INV_IN
                 n_out[j] -= 1
             else:
                 st[r] = v | AP
+        # top-up: propose to best unproposed unresolved neighbours while
+        # below quota (steps 1/3 of Algorithm 1 — a single cursor sweep,
+        # monotone across the whole run)
         rm = room[j]
         if rm > 0:
             p = cursor[j]
@@ -186,6 +193,10 @@ def _wave_kernel_arrays(
                 p += 1
             cursor[j] = p
             room[j] = rm
+        # termination: no outstanding proposals left (lines 15-16).  The
+        # REJ fan-out scans from cursor[j]: every slot the cursor passed
+        # is proposed or dead, and n_out == 0 means each proposal is
+        # locked or rejected — either way IN is clear below the cursor.
         if n_out[j] == 0:
             finished[j] = 1
             sent = 0
@@ -201,12 +212,12 @@ def _wave_kernel_arrays(
 
 
 def _get_jit_kernel():
-    """The numba-compiled array kernel (compiled once per process)."""
+    """The numba-compiled wave kernel (compiled once per process)."""
     global _JIT_KERNEL
     if _JIT_KERNEL is None:
         from numba import njit
 
-        _JIT_KERNEL = njit(cache=True)(_wave_kernel_arrays)
+        _JIT_KERNEL = njit(cache=True)(_wave_kernel)
     return _JIT_KERNEL
 
 
@@ -228,99 +239,27 @@ def warm_jit_kernels() -> bool:
     return True
 
 
-def _wave_kernel_list(state, inbox):
-    """One shard wave over lists/bytearray — the no-numba hot path.
-
-    Same transitions as :func:`_wave_kernel_arrays` but on the list /
-    bytearray layout of :func:`~repro.core.fast_lid.lid_matching_fast`
-    (CPython list indexing is ~3x faster than scalar ndarray indexing,
-    which is what keeps the graceful fallback fast).  Returns
-    ``(out_list, late, delivered_prop, delivered_rej)``.
-    """
-    st = state.st
-    finished = state.finished
-    room = state.room
-    n_out = state.n_out
-    cursor = state.cursor
-    props = state.props
-    rejs = state.rejs
-    received = state.received
-    packed_l = state.packed_l
-    end_l = state.end_l
-    node_lo = state.node_lo
-    slot_lo = state.slot_lo
-    sh = state.sh
-    rmask = state.rmask
-    out: list[int] = []
-    append = out.append
-    late = 0
-    dp = 0
-    dr = 0
-    for code in inbox:
-        j = (code >> sh) - node_lo
-        if finished[j]:
-            late += 1
-            continue
-        r = ((code >> 1) & rmask) - slot_lo
-        v = st[r]
-        received[j] += 1
-        if code & 1:
-            dr += 1
-            st[r] = v & _INV_IN
-            if v & PR:
-                room[j] += 1
-                n_out[j] -= 1
-        else:
-            dp += 1
-            if v & (PR | LK) == PR:
-                st[r] = (v | AP | LK) & _INV_IN
-                n_out[j] -= 1
-            else:
-                st[r] = v | AP
-        rm = room[j]
-        if rm:
-            p = cursor[j]
-            end_j = end_l[j]
-            while rm and p < end_j:
-                v = st[p]
-                if v & (IN | PR) == IN:
-                    rm -= 1
-                    n_out[j] += 1
-                    props[j] += 1
-                    append(packed_l[p])
-                    if v & AP:
-                        st[p] = (v | PR | LK) & _INV_IN
-                        n_out[j] -= 1
-                    else:
-                        st[p] = v | PR
-                p += 1
-            cursor[j] = p
-            room[j] = rm
-        if n_out[j] == 0:
-            finished[j] = 1
-            sent = 0
-            for t in range(cursor[j], end_l[j]):
-                v = st[t]
-                if v & IN:
-                    st[t] = v & _INV_IN
-                    sent += 1
-                    append(packed_l[t] | 1)
-            rejs[j] += sent
-    return out, late, dp, dr
-
-
 # ---------------------------------------------------------------------
 # shard state
 # ---------------------------------------------------------------------
 
+# kernel argument order of the per-shard state
+_STATE = (
+    "st", "finished", "room", "n_out", "cursor",
+    "props", "rejs", "received", "packed", "end",
+)
+_BYTE_STATE = ("st", "finished")
+
 
 class _ShardCore:
-    """One shard's protocol state plus its kernel dispatch.
+    """One shard's protocol state in its kernel layout.
 
     Lives either in the driver process (serial executor) or inside a
     persistent ``multiprocessing`` worker; built from the picklable
     ``init`` payload of :func:`_shard_init` either way, so serial and
-    parallel runs start from byte-identical state.
+    parallel runs start from byte-identical state.  The ``"list"`` mode
+    holds state in lists and bytearrays, ``"arrays"`` / ``"jit"`` in
+    ndarrays; the kernel is the same function either way.
     """
 
     def __init__(self, init: dict):
@@ -330,136 +269,97 @@ class _ShardCore:
         self.sh = int(init["sh"])
         self.rmask = int(init["rmask"])
         self.bounds = init["bounds"]  # node boundaries of ALL shards
-        self.kernel_mode = init["kernel_mode"]  # "list" | "arrays" | "jit"
-        self.owner_local = init["owner_local"]  # int64[slots] for sampling
-        self.quota_sum = int(init["quota_sum"])
+        self.owner_local = init["owner_local"]  # None unless probed
+        self.as_list = init["kernel_mode"] == "list"
         self.wave_seconds = 0.0
         self.processed = 0
         self.late = 0
         n_slots = len(init["st"])
-        if self.kernel_mode == "list":
-            self.st = bytearray(init["st"].tobytes())
-            self.finished = bytearray(init["finished"].tobytes())
-            self.room = init["room"].tolist()
-            self.n_out = init["n_out"].tolist()
-            self.cursor = init["cursor"].tolist()
-            self.props = init["props"].tolist()
-            self.rejs = init["rejs"].tolist()
-            self.received = init["received"].tolist()
-            self.packed_l = init["packed"].tolist()
-            self.end_l = init["end"].tolist()
-            self._kernel = None
-            self._out = None
+        if self.as_list:
+            self.state = {
+                k: bytearray(init[k]) if k in _BYTE_STATE else init[k].tolist()
+                for k in _STATE
+            }
+            self._out = [0] * n_slots
+            self._kernel = _wave_kernel
         else:
-            self.st = np.ascontiguousarray(init["st"])
-            self.finished = np.ascontiguousarray(init["finished"])
-            self.room = np.ascontiguousarray(init["room"])
-            self.n_out = np.ascontiguousarray(init["n_out"])
-            self.cursor = np.ascontiguousarray(init["cursor"])
-            self.props = np.ascontiguousarray(init["props"])
-            self.rejs = np.ascontiguousarray(init["rejs"])
-            self.received = np.ascontiguousarray(init["received"])
-            self.packed = np.ascontiguousarray(init["packed"])
-            self.end = np.ascontiguousarray(init["end"])
-            self._out = np.empty(2 * n_slots + 1, dtype=np.int64)
+            self.state = {k: np.ascontiguousarray(init[k]) for k in _STATE}
+            self._out = np.empty(n_slots, dtype=np.int64)
             self._kernel = (
                 _get_jit_kernel()
-                if self.kernel_mode == "jit"
-                else _wave_kernel_arrays
+                if init["kernel_mode"] == "jit"
+                else _wave_kernel
             )
+        self._args = tuple(self.state[k] for k in _STATE)
 
     # -- one synchronous round ----------------------------------------
 
-    def wave(self, inbox: np.ndarray):
+    def wave(self, inbox):
         """Process this round's deliveries; split the sends per shard.
 
         Returns ``(outs, late, delivered_prop, delivered_rej)`` where
         ``outs[d]`` holds the codes destined for shard ``d`` in emit
         order — the concatenation the driver performs is the whole
-        inter-shard reconciliation.
+        inter-shard reconciliation.  A lone shard keeps its own layout
+        end to end: no split, no list/array conversion.
         """
         t0 = perf_counter()
-        if self.kernel_mode == "list":
-            out_list, late, dp, dr = _wave_kernel_list(self, inbox.tolist())
-            out = np.asarray(out_list, dtype=np.int64)
+        single = len(self.bounds) == 2
+        if self.as_list and not single:
+            inbox = inbox.tolist()
+        n_emit, late, dp, dr = self._kernel(
+            inbox, *self._args, self._out,
+            self.node_lo, self.slot_lo, self.sh, self.rmask,
+        )
+        out = self._out[:n_emit]
+        if single:
+            outs = [out if self.as_list else out.copy()]
         else:
-            n_emit, late, dp, dr = self._kernel(
-                inbox,
-                self.st,
-                self.finished,
-                self.room,
-                self.n_out,
-                self.cursor,
-                self.props,
-                self.rejs,
-                self.received,
-                self.packed,
-                self.end,
-                self._out,
-                self.node_lo,
-                self.slot_lo,
-                self.sh,
-                self.rmask,
-            )
-            out = self._out[: int(n_emit)]
-        receivers = out >> self.sh
-        dest = np.searchsorted(self.bounds, receivers, side="right") - 1
-        outs = [out[dest == d].copy() for d in range(len(self.bounds) - 1)]
-        self.processed += int(dp) + int(dr)
-        self.late += int(late)
+            out = np.asarray(out, dtype=np.int64)
+            dest = np.searchsorted(self.bounds, out >> self.sh, side="right") - 1
+            outs = [out[dest == d] for d in range(len(self.bounds) - 1)]
+        self.processed += dp + dr
+        self.late += late
         self.wave_seconds += perf_counter() - t0
-        return outs, int(late), int(dp), int(dr)
+        return outs, late, dp, dr
 
     # -- probe sampling ------------------------------------------------
 
     def sample(self) -> tuple[int, int, int, int, int, int]:
         """Deterministic aggregate state: the shard's probe contribution."""
-        if self.kernel_mode == "list":
-            st = np.frombuffer(bytes(self.st), dtype=np.uint8)
-            finished = sum(self.finished)
-            outstanding = sum(self.n_out)
-            props = sum(self.props)
-            rejs = sum(self.rejs)
-        else:
-            st = self.st
-            finished = int(np.count_nonzero(self.finished))
-            outstanding = int(self.n_out.sum())
-            props = int(self.props.sum())
-            rejs = int(self.rejs.sum())
-        lk_mask = (st & LK) != 0
+        state = self.state
+        lk_mask = (np.frombuffer(state["st"], dtype=np.uint8) & LK) != 0
         locks = int(np.count_nonzero(lk_mask))
-        n_local = self.node_hi - self.node_lo
         matched = 0
-        if locks and n_local:
+        if locks:
             matched = int(
                 np.count_nonzero(
-                    np.bincount(self.owner_local[lk_mask], minlength=n_local)
+                    np.bincount(
+                        self.owner_local[lk_mask],
+                        minlength=self.node_hi - self.node_lo,
+                    )
                 )
             )
-        return locks, matched, int(finished), int(outstanding), int(props), int(rejs)
+        return (
+            locks,
+            matched,
+            int(np.count_nonzero(np.frombuffer(state["finished"], dtype=np.uint8))),
+            int(sum(state["n_out"])),
+            int(sum(state["props"])),
+            int(sum(state["rejs"])),
+        )
 
     # -- end of run ----------------------------------------------------
 
     def finalize(self) -> dict:
         """Final per-shard arrays + counters, for global reassembly."""
-        if self.kernel_mode == "list":
-            st = np.frombuffer(bytes(self.st), dtype=np.uint8)
-            finished = np.frombuffer(bytes(self.finished), dtype=np.uint8)
-            props = np.asarray(self.props, dtype=np.int64)
-            rejs = np.asarray(self.rejs, dtype=np.int64)
-            received = np.asarray(self.received, dtype=np.int64)
-        else:
-            st = self.st
-            finished = self.finished
-            props = self.props
-            rejs = self.rejs
-            received = self.received
+        state = self.state
         return {
-            "st": st,
-            "finished": finished,
-            "props": props,
-            "rejs": rejs,
-            "received": received,
+            "st": np.frombuffer(state["st"], dtype=np.uint8),
+            "finished": np.frombuffer(state["finished"], dtype=np.uint8),
+            "props": np.asarray(state["props"], dtype=np.int64),
+            "rejs": np.asarray(state["rejs"], dtype=np.int64),
+            "received": np.asarray(state["received"], dtype=np.int64),
             "processed": self.processed,
             "late": self.late,
             "wave_seconds": self.wave_seconds,
@@ -470,44 +370,39 @@ def _shard_init(
     s: int,
     bounds: np.ndarray,
     start: np.ndarray,
-    owner: np.ndarray,
-    packed: np.ndarray,
-    st0: np.ndarray,
-    fin0: np.ndarray,
-    room0: np.ndarray,
-    n_out0: np.ndarray,
-    cursor0: np.ndarray,
-    props0: np.ndarray,
-    rejs0: np.ndarray,
-    quota: np.ndarray,
+    owner: Optional[np.ndarray],
+    state0: dict,
     sh: int,
     rmask: int,
     kernel_mode: str,
 ) -> dict:
-    """The picklable state slice shard ``s`` starts from."""
+    """The picklable state slice shard ``s`` starts from.
+
+    ``state0`` holds the global post-round-0 arrays keyed as the kernel
+    arguments; ``owner`` is only needed (and only sliced) when a probe
+    samples matched-node counts.
+    """
     nlo, nhi = int(bounds[s]), int(bounds[s + 1])
     slo, shi = int(start[nlo]), int(start[nhi])
-    return {
-        "node_lo": nlo,
-        "node_hi": nhi,
-        "slot_lo": slo,
-        "sh": sh,
-        "rmask": rmask,
-        "bounds": bounds,
-        "kernel_mode": kernel_mode,
-        "owner_local": owner[slo:shi] - nlo,
-        "quota_sum": int(quota[nlo:nhi].sum()),
-        "st": st0[slo:shi],
-        "finished": fin0[nlo:nhi],
-        "room": room0[nlo:nhi],
-        "n_out": n_out0[nlo:nhi],
-        "cursor": cursor0[nlo:nhi] - slo,
-        "props": props0[nlo:nhi],
-        "rejs": rejs0[nlo:nhi],
-        "received": np.zeros(nhi - nlo, dtype=np.int64),
-        "packed": packed[slo:shi],
-        "end": start[nlo + 1 : nhi + 1] - slo,
+    init = {
+        k: state0[k][nlo:nhi] for k in ("finished", "room", "n_out", "props", "rejs")
     }
+    init.update(
+        node_lo=nlo,
+        node_hi=nhi,
+        slot_lo=slo,
+        sh=sh,
+        rmask=rmask,
+        bounds=bounds,
+        kernel_mode=kernel_mode,
+        owner_local=None if owner is None else owner[slo:shi] - nlo,
+        st=state0["st"][slo:shi],
+        packed=state0["packed"][slo:shi],
+        cursor=state0["cursor"][nlo:nhi] - slo,
+        received=np.zeros(nhi - nlo, dtype=np.int64),
+        end=start[nlo + 1 : nhi + 1] - slo,
+    )
+    return init
 
 
 # ---------------------------------------------------------------------
@@ -729,6 +624,43 @@ def _resolve_kernel_mode(jit: Optional[bool], _kernel: Optional[str]) -> str:
     return "jit" if NUMBA_AVAILABLE else "list"
 
 
+def _launch(
+    k: int,
+    workers: int,
+    kernel_mode: str,
+    start: np.ndarray,
+    owner: np.ndarray,
+    state0: dict,
+    cur0: np.ndarray,
+    sh: int,
+    rmask: int,
+    probe,
+):
+    """Partition, start the shard cores and split the round-0 burst.
+
+    Returns ``(bounds, executor, inboxes)``.  A lone shard takes the
+    burst whole in its own layout; only probed runs slice ``owner``.
+    """
+    bounds = partition_nodes(start, k)
+    inits = [
+        _shard_init(
+            s, bounds, start, None if probe is None else owner, state0,
+            sh, rmask, kernel_mode,
+        )
+        for s in range(k)
+    ]
+    if workers and k > 1:
+        executor = _MPExecutor(inits, workers)
+    else:
+        executor = _SerialExecutor(inits)
+    if k == 1:
+        inboxes = [cur0.tolist() if kernel_mode == "list" else cur0]
+    else:  # split by receiver shard (order-preserving)
+        dest0 = np.searchsorted(bounds, cur0 >> sh, side="right") - 1
+        inboxes = [cur0[dest0 == d] for d in range(k)]
+    return bounds, executor, inboxes
+
+
 def sharded_lid_matching(
     src: "FastInstance | PreferenceSystem | WeightTable",
     quotas: Optional[Sequence[int]] = None,
@@ -744,12 +676,13 @@ def sharded_lid_matching(
 ) -> ShardedLidResult:
     """LID as per-shard synchronous waves with mailbox reconciliation.
 
-    Produces the **identical matching** to ``run_lid`` /
-    ``lid_matching_fast`` for every shard count (the locked edge set is
-    schedule-invariant, Lemmas 3–6) and is **bit-identical** to
-    ``lid_matching_fast`` — message statistics included — for
-    ``shards=1``.  Conformance-gated via the ``lid-sharded`` pipeline
-    of :mod:`repro.testing.differential`.
+    Produces the **identical matching** to ``run_lid`` for every shard
+    count (the locked edge set is schedule-invariant, Lemmas 3–6) and is
+    **bit-identical** to ``run_lid`` — message statistics included — for
+    ``shards=1``, which is exactly how
+    :func:`~repro.core.fast_lid.lid_matching_fast` runs it.
+    Conformance-gated via the ``lid-sharded`` pipeline of
+    :mod:`repro.testing.differential`.
 
     Parameters
     ----------
@@ -767,27 +700,29 @@ def sharded_lid_matching(
     jit:
         ``None`` auto-selects the numba kernel when importable;
         ``True`` requests it (graceful fallback + ``RuntimeWarning``
-        when numba is missing); ``False`` forces the list kernel.
+        when numba is missing); ``False`` forces the list layout.
     max_events:
-        Hang-detector budget over processed deliveries (same default
-        policy as the fast engine).
+        Hang-detector budget counted over *processed* (non-late)
+        deliveries, mirroring the simulator's documented default
+        ``1000 + 500·n + 50·initial_burst``.
     max_rounds:
         Round-truncated mode: cap the global reconciliation waves at
         this many rounds and extract only the mutual locks (see
         :mod:`repro.core.truncation`).  The cap is applied on the
         *global* round clock — every shard stops after the same wave —
         so the truncated matching stays shard-count-invariant, exactly
-        like the converged one.  ``None`` runs to convergence,
-        byte-identical to before.
+        like the converged one.  ``None`` runs to convergence.
     telemetry, probe:
-        As the fast engine; additionally records one ``partition`` span,
+        As the fast engine.  A one-shard run reports exactly the
+        ``build_weights`` / ``sim_loop`` / ``extract`` phases; with
+        ``k > 1`` the run additionally records one ``partition`` span,
         a per-shard ``shard<i>`` span plus a ``reconcile`` span under
-        ``sim_loop``, and probe samples that aggregate all shards with
-        the exact fast-engine tick convention (bit-identical trajectory
-        for ``shards=1``).
+        ``sim_loop``.  Probe samples aggregate all shards with the
+        reference tick convention (bit-identical trajectory for
+        ``shards=1``).
     _kernel:
-        Test hook: force ``"list"`` / ``"arrays"`` (the interpreted
-        array kernel) / ``"jit"`` regardless of ``jit``/numba.
+        Test hook: force the ``"list"`` / ``"arrays"`` (interpreted
+        ndarray layout) / ``"jit"`` layout regardless of ``jit``/numba.
     """
     max_rounds = validate_max_rounds(max_rounds)
     tel = telemetry if telemetry is not None else Telemetry()
@@ -800,60 +735,58 @@ def sharded_lid_matching(
         if quotas is None:
             quota = fi.quota
         else:
-            quota = np.asarray([int(q) for q in quotas], dtype=np.int64)
-            if quota.shape != (n,):
-                raise ValueError(f"quotas length {len(quotas)} != n={n}")
+            quota = np.asarray(check_quotas(quotas, n), dtype=np.int64)
 
         start, nbr, rev, owner = _directed_layout(fi)
         deg = np.diff(start)
 
-        # ---- round 0 (global, vectorised — identical to fast_lid) ----
-        eff = np.minimum(quota, deg)
-        slot_pos = np.arange(2 * m, dtype=np.int64) - start[owner]
-        prop0 = slot_pos < eff[owner]
-        fin0 = eff <= 0
-        rej0 = fin0[owner]
+        # ---- round 0: vectorised initial top-up + bulk REJ fan-out ----
+        eff = np.minimum(quota, deg)  # proposals each node can place now
+        prop0 = (np.arange(2 * m, dtype=np.int64) - start[owner]) < eff[owner]
+        fin0 = eff <= 0  # quota 0 or no neighbours: terminate at once
+        rej0 = fin0[owner]  # ... broadcasting REJ to every neighbour
 
+        # A message is one int carrying everything its *receiver* needs:
+        # ``receiver << sh | receiver_slot << 1 | is_rej``.  Sender slot
+        # s delivers on the receiver's paired slot rev[s] of node
+        # nbr[s], so the kernel runs on two shifts and zero table
+        # lookups.
         rbits = (2 * m).bit_length()
         sh = rbits + 1
         rmask = (1 << rbits) - 1
-        packed = (nbr << sh) | (rev << 1)
+        packed = (nbr << sh) | (rev << 1)  # indexed by *sender* slot
         cur0 = (packed | rej0)[prop0 | rej0]
-
-        st0 = (
-            np.where(rej0, 0, IN) | np.where(prop0, PR, 0)
-        ).astype(np.uint8)
-        fin0_u8 = fin0.astype(np.uint8)
-        room0 = quota - eff
-        n_out0 = eff.copy()
-        cursor0 = start[:-1] + eff
-        props0 = eff.copy()
-        rejs0 = np.where(fin0, deg, 0)
+        state0 = {
+            "st": (np.where(rej0, 0, IN) | np.where(prop0, PR, 0)).astype(
+                np.uint8
+            ),
+            "packed": packed,
+            "finished": fin0.astype(np.uint8),
+            "room": quota - eff,  # b_i - |P_i|: top-up capacity left
+            "n_out": eff.copy(),  # |P_i \ K_i|: outstanding proposals
+            "cursor": start[:-1] + eff,  # weight-list scan position
+            "props": eff.copy(),
+            "rejs": np.where(fin0, deg, 0),
+        }
+        del prop0, rej0, packed  # round-0 temporaries: off the RSS peak
 
         if max_events is None:
             max_events = 1000 + 500 * n + 50 * len(cur0)
-    total_quota = int(quota.sum())
-
-    with tel.span("partition"):
-        bounds = partition_nodes(start, min(int(shards), max(n, 1)))
-        k = len(bounds) - 1
-        slot_bounds = start[bounds]
-        inits = [
-            _shard_init(
-                s, bounds, start, owner, packed, st0, fin0_u8, room0,
-                n_out0, cursor0, props0, rejs0, quota, sh, rmask, kernel_mode,
+        k = max(1, min(int(shards), n))
+        if k == 1:  # no partition phase: a lone shard is the whole graph
+            bounds, executor, inboxes = _launch(
+                k, workers, kernel_mode, start, owner, state0, cur0, sh,
+                rmask, probe,
             )
-            for s in range(k)
-        ]
-        if workers and k > 1:
-            executor = _MPExecutor(inits, workers)
-        else:
-            executor = _SerialExecutor(inits)
 
-        # split the round-0 burst by receiver shard (order-preserving)
-        recv0 = cur0 >> sh
-        dest0 = np.searchsorted(bounds, recv0, side="right") - 1
-        inboxes = [cur0[dest0 == d] for d in range(k)]
+    if k > 1:
+        with tel.span("partition"):
+            bounds, executor, inboxes = _launch(
+                k, workers, kernel_mode, start, owner, state0, cur0, sh,
+                rmask, probe,
+            )
+    state0 = None  # the cores own (or have copied) their slices now
+    total_quota = int(quota.sum())
 
     def _merged_sample(tick: float, parts) -> ProbeSample:
         locks = sum(p[0] for p in parts)
@@ -868,10 +801,10 @@ def sharded_lid_matching(
             quota_fill=(locks / total_quota) if total_quota else 0.0,
         )
 
+    # ---- synchronous waves: round r delivers round r-1's sends --------
     probe_tick = 0.0
     rounds = 0
     events = 0
-    processed = 0
     late_total = 0
     delivered_prop = 0
     delivered_rej = 0
@@ -880,11 +813,13 @@ def sharded_lid_matching(
     reconcile_s = 0.0
     try:
         with tel.span("sim_loop"):
-            pending = int(sum(len(b) for b in inboxes))
+            pending = sum(len(b) for b in inboxes)
             while pending:
                 if max_rounds is not None and rounds >= max_rounds:
                     break  # round budget spent: drop the in-flight wave
                 if probe is not None and rounds + 1 >= probe_tick:
+                    # catch the tick counter up to this wave's delivery
+                    # time — the same peek-ahead Simulator.run does
                     parts = executor.sample()
                     while rounds + 1 >= probe_tick:
                         probe.record(_merged_sample(probe_tick, parts))
@@ -894,7 +829,7 @@ def sharded_lid_matching(
                 results = executor.wave(inboxes)
                 t0 = perf_counter()
                 delivered_before = delivered_prop + delivered_rej
-                for s, (_, late, dp, dr) in enumerate(results):
+                for _, late, dp, dr in results:
                     late_total += late
                     delivered_prop += dp
                     delivered_rej += dr
@@ -915,30 +850,37 @@ def sharded_lid_matching(
                 reconcile_s += perf_counter() - t0
                 if delivered_prop + delivered_rej > delivered_before:
                     max_depth = rounds
-                processed = delivered_prop + delivered_rej
-                if processed > max_events:
+                if delivered_prop + delivered_rej > max_events:
                     raise ProtocolError(
-                        f"sharded LID exceeded {max_events} deliveries"
-                        " without quiescing; likely a protocol bug (Lemma 5"
+                        f"LID exceeded {max_events} deliveries without"
+                        " quiescing; likely a protocol bug (Lemma 5"
                         " guarantees termination)"
                     )
-                pending = int(sum(len(b) for b in inboxes))
+                pending = sum(len(b) for b in inboxes)
             if probe is not None:
+                # quiescence: exactly one final sample, like the
+                # reference engine's empty-queue tick
                 probe.record(_merged_sample(probe_tick, executor.sample()))
 
             finals = executor.finalize()
-            for s, fin in enumerate(finals):
-                tel.add_span(f"shard{s}", fin["wave_seconds"])
-            tel.add_span("reconcile", reconcile_s)
+            if k > 1:
+                for s, fin in enumerate(finals):
+                    tel.add_span(f"shard{s}", fin["wave_seconds"])
+                tel.add_span("reconcile", reconcile_s)
     finally:
         executor.close()
 
     with tel.span("extract"):
-        st_all = np.concatenate([f["st"] for f in finals]) if m else st0
-        finished_all = np.concatenate([f["finished"] for f in finals])
-        props_arr = np.concatenate([f["props"] for f in finals])
-        rejs_arr = np.concatenate([f["rejs"] for f in finals])
-        received_arr = np.concatenate([f["received"] for f in finals])
+
+        def gather(key: str) -> np.ndarray:
+            parts = [f[key] for f in finals]
+            return parts[0] if k == 1 else np.concatenate(parts)
+
+        st_all = gather("st")
+        finished_all = gather("finished")
+        props_arr = gather("props")
+        rejs_arr = gather("rejs")
+        received_arr = gather("received")
 
         released = 0
         if max_rounds is None:
@@ -955,8 +897,10 @@ def sharded_lid_matching(
                     f"asymmetric lock: {i_} locked {j_} but not vice versa"
                 )
         else:
-            # truncated: release one-sided locks, keep the mutual ones
-            # (same contract as the fast engine — see core.truncation)
+            # truncated: a one-sided lock means the partner's confirming
+            # PROP was still in flight — release it (deterministically)
+            # and keep only the mutual locks, which are feasible by
+            # construction (see core.truncation)
             lk_raw = (st_all & LK) != 0
             lk = lk_raw & lk_raw[rev]
             released = int(np.count_nonzero(lk_raw & ~lk))
@@ -994,7 +938,7 @@ def sharded_lid_matching(
                 {
                     "shard": s,
                     "nodes": nhi - nlo,
-                    "slots": int(slot_bounds[s + 1] - slot_bounds[s]),
+                    "slots": int(start[nhi] - start[nlo]),
                     "processed": int(fin["processed"]),
                     "late": int(fin["late"]),
                     "props_sent": int(fin["props"].sum()),

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import operator
+from typing import Sequence
+
 __all__ = [
     "ReproError",
     "InvalidInstanceError",
@@ -10,6 +13,7 @@ __all__ = [
     "check_positive_int",
     "check_nonnegative_int",
     "check_probability",
+    "check_quotas",
 ]
 
 
@@ -55,3 +59,27 @@ def check_probability(value: float, name: str) -> float:
     if not (0.0 <= value <= 1.0):
         raise ValueError(f"{name} must be in [0, 1], got {value!r}")
     return value
+
+
+def check_quotas(quotas: Sequence[int], n: int) -> list[int]:
+    """Validate explicit connection quotas ``b_i`` for ``n`` nodes.
+
+    Accepts any integral values (``operator.index``: Python and NumPy
+    integers) and returns them as plain ``int``; rejects a length
+    mismatch, and bool, fractional or negative quotas with a
+    :class:`ValueError` naming the offending node.
+    """
+    if len(quotas) != n:
+        raise ValueError(f"quotas length {len(quotas)} != n={n}")
+    out = []
+    for i, q in enumerate(quotas):
+        try:
+            b = None if isinstance(q, bool) else operator.index(q)
+        except TypeError:
+            b = None
+        if b is None or b < 0:
+            raise ValueError(
+                f"quota of node {i} must be a non-negative integer, got {q!r}"
+            )
+        out.append(b)
+    return out

@@ -4,6 +4,7 @@ These instances have hand-computable outcomes, so they pin the exact
 behaviour of the pipeline where random instances only pin invariants.
 """
 
+import numpy as np
 import pytest
 
 from repro.core import (
@@ -13,6 +14,10 @@ from repro.core import (
     run_lid,
     solve_lid,
 )
+from repro.core.fast import FastInstance
+from repro.core.fast_lid import lid_matching_fast
+from repro.core.resilient_lid import run_resilient_lid
+from repro.core.sharded_lid import sharded_lid_matching
 from repro.core.weights import WeightTable
 
 
@@ -110,6 +115,41 @@ class TestExtremeQuotas:
         for ps in (star(6, 2), star(3, 3)):
             result, wt = solve_lid(ps)
             assert greedy_certificate(wt, list(ps.quotas), result.matching)
+
+
+def _path_table() -> WeightTable:
+    return WeightTable({(0, 1): 1.0, (1, 2): 2.0}, 3)
+
+
+QUOTA_ENTRIES = {
+    "reference": lambda wt, q: run_lid(wt, q),
+    "resilient": lambda wt, q: run_resilient_lid(wt, q),
+    "fast": lambda wt, q: lid_matching_fast(wt, q),
+    "fast-instance": lambda wt, q: lid_matching_fast(
+        FastInstance.from_weight_table(wt, [1, 1, 1]), q
+    ),
+    "sharded": lambda wt, q: sharded_lid_matching(wt, q, shards=2),
+    "lowering": lambda wt, q: FastInstance.from_weight_table(wt, q),
+}
+
+
+class TestExplicitQuotaValidation:
+    """Every entry taking ``quotas=`` rejects non-integral or negative b_i."""
+
+    @pytest.mark.parametrize("entry", sorted(QUOTA_ENTRIES))
+    @pytest.mark.parametrize(
+        "bad, node",
+        [([-1, 1, 1], 0), ([1.7, 1, 1], 0), ([1, True, 1], 1), ([1, 1, 2.0], 2)],
+    )
+    def test_rejects_with_node_named(self, entry, bad, node):
+        with pytest.raises(ValueError, match=f"quota of node {node} "):
+            QUOTA_ENTRIES[entry](_path_table(), bad)
+
+    @pytest.mark.parametrize("entry", sorted(QUOTA_ENTRIES))
+    def test_accepts_numpy_integers(self, entry):
+        quotas = np.array([1, 1, 0], dtype=np.int64)
+        QUOTA_ENTRIES[entry](_path_table(), list(quotas))
+        QUOTA_ENTRIES[entry](_path_table(), quotas)
 
 
 class TestWeightExtremes:

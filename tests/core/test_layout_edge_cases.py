@@ -110,16 +110,19 @@ class TestEngineAgreementOnDegenerates:
             {0: [1, 2], 1: [0, 2], 2: [0, 1]}, quotas={0: 2, 1: 2, 2: 2}
         )
         quotas = [2, 0, 2]
-        ref = lid_matching_fast(ps, quotas=quotas)
+        ref = run_lid(satisfaction_weights(ps), quotas)
         assert not any(1 in e for e in ref.matching.edge_set())
         for k in (1, 2):
             sharded = sharded_lid_matching(ps, quotas=quotas, shards=k)
             assert sharded.matching.edge_set() == ref.matching.edge_set()
 
     def test_k1_bit_identity_on_degenerates(self):
+        # lid_matching_fast is the one-shard run, so the witness is the
+        # independent reference simulator
         for ps in self.CASES.values():
-            ref = lid_matching_fast(ps)
+            ref = run_lid(satisfaction_weights(ps), ps.quotas)
             res = sharded_lid_matching(ps, shards=1)
-            assert np.array_equal(res.props_sent, ref.props_sent)
-            assert np.array_equal(res.rejs_sent, ref.rejs_sent)
+            assert list(res.props_sent) == [nd.props_sent for nd in ref.nodes]
+            assert list(res.rejs_sent) == [nd.rejs_sent for nd in ref.nodes]
+            assert res.late_messages == ref.late_messages
             assert res.metrics.events == ref.metrics.events

@@ -1,15 +1,18 @@
-"""The sharded LID engine: partitioned waves must replay the fast engine.
+"""The sharded LID engine: partitioned waves must replay the reference.
 
 Three tiers of pinning, mirroring the module's correctness argument:
 
-- ``shards=1`` is **bit-identical** to ``lid_matching_fast`` — matching,
-  per-node message statistics, metric counters, probe trajectory;
+- ``shards=1`` is **bit-identical** to the reference simulator
+  ``run_lid`` — matching, per-node message statistics, metric counters,
+  probe trajectory.  ``lid_matching_fast`` *is* this one-shard run, so
+  the witness must be the independent event-by-event engine;
 - any ``shards=k`` produces the **identical matching** (the locked edge
   set is schedule-invariant, Lemmas 3–6), while message statistics may
   legitimately differ;
-- the execution substrates are interchangeable: list kernel vs array
-  kernel, serial executor vs multiprocessing workers — all bit-identical
-  to each other for fixed ``(instance, shards)``.
+- the execution substrates are interchangeable: the one wave kernel on
+  list state vs ndarray state, serial executor vs multiprocessing
+  workers — all bit-identical to each other for fixed
+  ``(instance, shards)``.
 """
 
 import warnings
@@ -19,7 +22,7 @@ import pytest
 
 from repro.core.backend import get_backend
 from repro.core.fast import FastInstance
-from repro.core.fast_lid import _directed_layout, lid_matching_fast
+from repro.core.fast_lid import _directed_layout
 from repro.core.lid import run_lid, solve_lid
 from repro.core.preferences import PreferenceSystem
 from repro.core.sharded_lid import (
@@ -35,8 +38,29 @@ from repro.telemetry.spans import Telemetry
 from repro.testing.strategies import random_ps
 
 
+def _assert_replays_reference(ref, sharded):
+    """Every observable of a reference ``run_lid`` result, field for field."""
+    assert sharded.matching.edge_set() == ref.matching.edge_set()
+    assert list(sharded.props_sent) == [nd.props_sent for nd in ref.nodes]
+    assert list(sharded.rejs_sent) == [nd.rejs_sent for nd in ref.nodes]
+    assert sharded.late_messages == ref.late_messages
+    assert sharded.metrics.sent_by_kind == ref.metrics.sent_by_kind
+    assert sharded.metrics.delivered_by_kind == ref.metrics.delivered_by_kind
+    assert sharded.metrics.sent_by_node == ref.metrics.sent_by_node
+    assert sharded.metrics.received_by_node == ref.metrics.received_by_node
+    assert sharded.metrics.events == ref.metrics.events
+    assert sharded.metrics.end_time == ref.metrics.end_time
+    assert sharded.metrics.max_depth == ref.metrics.max_depth
+
+
+def _reference(ps, quotas=None, **kwargs):
+    """The event-by-event simulator on the same instance."""
+    wt = satisfaction_weights(ps)
+    return run_lid(wt, ps.quotas if quotas is None else quotas, **kwargs)
+
+
 def _assert_bit_identical(ref, sharded):
-    """Every observable of the fast engine, field for field."""
+    """Every observable of another array-engine run, field for field."""
     assert sharded.matching.edge_set() == ref.matching.edge_set()
     assert np.array_equal(sharded.props_sent, ref.props_sent)
     assert np.array_equal(sharded.rejs_sent, ref.rejs_sent)
@@ -53,28 +77,28 @@ def _assert_bit_identical(ref, sharded):
 class TestSingleShardBitIdentity:
     @pytest.mark.parametrize("seed", range(4))
     def test_k1_replays_fast_engine(self, seed):
+        # the fast engine's contract (replay run_lid), checked on the
+        # one-shard run lid_matching_fast delegates to
         ps = random_ps(60, 0.12, 3, seed=seed, ensure_edges=True)
-        ref = lid_matching_fast(ps)
         res = sharded_lid_matching(ps, shards=1)
         assert isinstance(res, ShardedLidResult)
         assert res.shards == 1
         assert res.cut_messages == 0  # no boundary to cross
-        _assert_bit_identical(ref, res)
+        _assert_replays_reference(_reference(ps), res)
 
     @pytest.mark.parametrize("interval", [1.0, 2.5])
     def test_k1_probe_trajectory_bit_identical(self, interval):
         ps = random_ps(50, 0.15, 3, seed=2, ensure_edges=True)
         p_ref = ConvergenceProbe(interval)
         p_sh = ConvergenceProbe(interval)
-        lid_matching_fast(ps, probe=p_ref)
+        _reference(ps, probe=p_ref)
         sharded_lid_matching(ps, shards=1, probe=p_sh)
         assert p_sh.samples == p_ref.samples
 
     def test_k1_array_kernel_also_bit_identical(self):
         ps = random_ps(40, 0.2, 3, seed=7, ensure_edges=True)
-        ref = lid_matching_fast(ps)
         res = sharded_lid_matching(ps, shards=1, _kernel="arrays")
-        _assert_bit_identical(ref, res)
+        _assert_replays_reference(_reference(ps), res)
 
 
 class TestMultiShardMatchingInvariance:
@@ -103,13 +127,14 @@ class TestMultiShardMatchingInvariance:
         ps = random_ps(8, 0.5, 2, seed=0, ensure_edges=True)
         res = sharded_lid_matching(ps, shards=64)
         assert res.shards <= ps.n
-        ref = lid_matching_fast(ps)
-        assert res.matching.edge_set() == ref.matching.edge_set()
+        assert res.matching.edge_set() == _reference(ps).matching.edge_set()
 
 
 class TestKernelEquivalence:
     @pytest.mark.parametrize("shards", [1, 3])
     def test_array_kernel_matches_list_kernel(self, shards):
+        # the one kernel on ndarray state (what numba compiles) vs list
+        # state: tier-1's only check of numba's data path without numba
         ps = random_ps(55, 0.15, 3, seed=3, ensure_edges=True)
         a = sharded_lid_matching(ps, shards=shards, _kernel="arrays")
         b = sharded_lid_matching(ps, shards=shards, _kernel="list")
@@ -118,6 +143,16 @@ class TestKernelEquivalence:
         assert [s["processed"] for s in a.shard_stats] == [
             s["processed"] for s in b.shard_stats
         ]
+
+    def test_array_layout_probe_matches_list_layout(self):
+        # > 255 nodes per shard: per-node byte state must be counted,
+        # not summed in its own uint8 width
+        ps = random_ps(300, 0.02, 2, seed=5, ensure_edges=True)
+        p_arr, p_list = ConvergenceProbe(1.0), ConvergenceProbe(1.0)
+        sharded_lid_matching(ps, shards=1, _kernel="arrays", probe=p_arr)
+        sharded_lid_matching(ps, shards=1, _kernel="list", probe=p_list)
+        assert p_arr.samples == p_list.samples
+        assert p_arr.final().finished_nodes == ps.n
 
     def test_jit_true_without_numba_warns_and_falls_back(self):
         if NUMBA_AVAILABLE:
@@ -203,17 +238,17 @@ class TestEdgeCases:
             {0: [1], 1: [0, 2], 2: [1], 3: []},
             quotas={0: 1, 1: 2, 2: 2, 3: 1},
         )
-        ref = lid_matching_fast(ps)
+        ref = _reference(ps)
         for k in (1, 2, 8):
             res = sharded_lid_matching(ps, shards=k)
             assert res.matching.edge_set() == ref.matching.edge_set()
-        _assert_bit_identical(ref, sharded_lid_matching(ps, shards=1))
+        _assert_replays_reference(ref, sharded_lid_matching(ps, shards=1))
 
     def test_explicit_zero_quota(self):
         ps = PreferenceSystem(
             {0: [1, 2], 1: [0], 2: [0]}, quotas={0: 2, 1: 1, 2: 1}
         )
-        ref = lid_matching_fast(ps, quotas=[0, 1, 1])
+        ref = _reference(ps, quotas=[0, 1, 1])
         for k in (1, 2):
             res = sharded_lid_matching(ps, quotas=[0, 1, 1], shards=k)
             assert res.matching.edge_set() == ref.matching.edge_set()
@@ -259,7 +294,7 @@ class TestBackendWiring:
         wt = be.build_weights(ps)
         res = be.lid(wt, list(ps.quotas))
         assert isinstance(res, ShardedLidResult)
-        assert res.matching.edge_set() == lid_matching_fast(ps).matching.edge_set()
+        assert res.matching.edge_set() == _reference(ps).matching.edge_set()
 
     def test_solve_lid_sharded(self):
         ps = random_ps(30, 0.2, 3, seed=3, ensure_edges=True)
