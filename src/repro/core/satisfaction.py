@@ -37,6 +37,7 @@ from repro.core.preferences import PreferenceSystem
 __all__ = [
     "delta_full",
     "delta_static",
+    "static_increase",
     "connection_list",
     "full_satisfaction",
     "static_satisfaction",
@@ -48,14 +49,18 @@ __all__ = [
 ]
 
 
+def static_increase(rank: int, length: int, quota: int) -> float:
+    """``ΔS̄`` (eq. 5) from rank ``R_i(j)``, list length ``ℓ_i`` and quota ``b_i``."""
+    return (1.0 - rank / length) / quota
+
+
 def delta_static(ps: PreferenceSystem, i: int, j: int) -> float:
     """Static satisfaction increase ``ΔS̄_i^j`` (eq. 5).
 
     Depends only on the rank of ``j`` in ``i``'s preference list; this is
     the execution-independent part used to construct edge weights (eq. 9).
     """
-    ell = ps.list_length(i)
-    return (1.0 - ps.rank(i, j) / ell) / ps.quota(i)
+    return static_increase(ps.rank(i, j), ps.list_length(i), ps.quota(i))
 
 
 def delta_full(ps: PreferenceSystem, i: int, j: int, q: int) -> float:

@@ -517,6 +517,13 @@ def _cmd_churn(args) -> int:
     return 0
 
 
+def _latency_line(report: dict) -> str:
+    """One line of a service report's per-event latency distribution."""
+    return (f"event latency: p50 {report['event_p50_ms']:.2f} ms,"
+            f" p99 {report['event_p99_ms']:.2f} ms,"
+            f" max {report['event_max_ms']:.2f} ms")
+
+
 def _cmd_serve(args) -> int:
     from repro.service import ServiceConfig, kill_and_resume_check, run_service
 
@@ -552,6 +559,7 @@ def _cmd_serve(args) -> int:
         print(f"differential checks ok: {out['differential_ok']};"
               f" invariant violations: {out['guard_violations']};"
               f" final mode: {rep['final_mode']}")
+        print(_latency_line(rep))
         ok = (out["identical"] and out["differential_ok"]
               and out["guard_violations"] == 0)
         print("service-smoke PASS" if ok else "service-smoke FAIL")
@@ -581,6 +589,7 @@ def _cmd_serve(args) -> int:
           f" mean repair {r['mean_repair_ms']:.2f} ms"
           + (f", incremental vs full x{r['speedup_vs_full_x']:.1f}"
              if r["speedup_vs_full_x"] else ""))
+    print(_latency_line(r))
     if r["completed"]:
         print(f"conformance: blocking edges {r['blocking_edges']},"
               f" matches fresh solve: {r['matches_fresh_solve']},"

@@ -17,7 +17,9 @@ join or leave.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from array import array
+from bisect import bisect_left, bisect_right
+from typing import Callable, Iterable, Optional, Sequence
 
 from repro.core.preferences import PreferenceSystem
 from repro.overlay.metrics import MetricAssignment, SuitabilityMetric
@@ -25,7 +27,66 @@ from repro.overlay.peer import Peer
 from repro.overlay.topology import Topology
 from repro.utils.validation import InvalidInstanceError
 
-__all__ = ["build_preference_system"]
+__all__ = ["RankedRow", "build_preference_system", "ranked_row", "scorer"]
+
+#: ``score(peer, candidate)`` — how suitable ``candidate`` is to ``peer``
+Score = Callable[[Peer, Peer], float]
+
+
+def scorer(metric: SuitabilityMetric | MetricAssignment) -> Score:
+    """The scoring function a metric (or per-peer assignment) ranks with."""
+    return metric.score if isinstance(metric, MetricAssignment) else metric
+
+
+class RankedRow:
+    """One peer's ranked neighbour list, best first.
+
+    Entries are sorted by the key ``(-score, peer_id)``: higher score
+    first, ties broken by the smaller external id — the one ranking rule
+    of the overlay.  A key depends only on the two peers it names, so a
+    row patched in place (:meth:`insert`, :meth:`remove`) stays identical
+    to a freshly ranked one.  The keys are stored as two parallel typed
+    arrays (16 bytes an entry, no per-entry Python objects), because a
+    long-lived overlay keeps one row per peer.
+    """
+
+    __slots__ = ("scores", "ids")
+
+    def __init__(self, keys: Iterable[tuple[float, int]] = ()):
+        #: ``-score`` of each entry, ascending
+        self.scores = array("d")
+        #: external peer id of each entry, in rank order
+        self.ids = array("q")
+        for neg_score, pid in sorted(keys):
+            self.scores.append(neg_score)
+            self.ids.append(pid)
+
+    def insert(self, neg_score: float, pid: int) -> None:
+        """Insert the key ``(neg_score, pid)`` at its sorted position."""
+        lo = bisect_left(self.scores, neg_score)
+        hi = bisect_right(self.scores, neg_score, lo)
+        k = bisect_left(self.ids, pid, lo, hi)  # equal scores: id order
+        self.scores.insert(k, neg_score)
+        self.ids.insert(k, pid)
+
+    def remove(self, pid: int) -> None:
+        """Delete ``pid``'s entry."""
+        k = self.ids.index(pid)
+        del self.scores[k]
+        del self.ids[k]
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, RankedRow):
+            return NotImplemented
+        return self.ids == other.ids and self.scores == other.scores
+
+    def __repr__(self) -> str:
+        return f"RankedRow({list(zip(self.scores, self.ids))!r})"
+
+
+def ranked_row(peer: Peer, candidates: Iterable[Peer], score: Score) -> RankedRow:
+    """``peer``'s ranking of ``candidates``, scored with ``score``."""
+    return RankedRow((-score(peer, c), c.peer_id) for c in candidates)
 
 
 def build_preference_system(
@@ -68,18 +129,15 @@ def build_preference_system(
         for i, peer in enumerate(peers):
             peer.position = topology.positions[i]
 
-    if isinstance(metric, MetricAssignment):
-        def score(i: int, j: int) -> float:
-            return metric.score(peers[i], peers[j])
-    else:
-        def score(i: int, j: int) -> float:
-            return metric(peers[i], peers[j])
-
+    score = scorer(metric)
+    index = {p.peer_id: i for i, p in enumerate(peers)}
     rankings = {
-        i: sorted(
-            topology.adjacency[i],
-            key=lambda j: (-score(i, j), peers[j].peer_id),
-        )
+        i: [
+            index[pid]
+            for pid in ranked_row(
+                peers[i], [peers[j] for j in topology.adjacency[i]], score
+            ).ids
+        ]
         for i in range(topology.n)
     }
     if quotas is None:

@@ -29,6 +29,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
+import numpy as np
+
 from repro.core.backend import resolve_backend_name
 from repro.core.fast import FastInstance, lic_matching_fast
 from repro.core.lic import lic_matching
@@ -36,7 +38,12 @@ from repro.core.matching import Matching
 from repro.core.preferences import PreferenceSystem
 from repro.core.satisfaction import delta_static
 from repro.core.weights import WeightTable, satisfaction_weights
-from repro.overlay.builder import build_preference_system
+from repro.overlay.builder import (
+    RankedRow,
+    build_preference_system,
+    ranked_row,
+    scorer,
+)
 from repro.overlay.metrics import MetricAssignment, SuitabilityMetric
 from repro.overlay.peer import Peer
 from repro.overlay.topology import Topology
@@ -231,11 +238,23 @@ def greedy_repair(
             stats.stale_dropped += 1
             dirty.update((a, b))
 
+    # weakest[v]: (key, partner) of v's lightest held edge, or None when
+    # v holds no partner; computed on demand, dropped whenever v's
+    # partners change, so `wants` is O(1) instead of a partner scan
+    weakest: dict[int, Optional[tuple]] = {}
+
+    def lightest(v: int) -> Optional[tuple]:
+        if v not in weakest:
+            weakest[v] = min(
+                ((wt.key(v, c), c) for c in matching.connections(v)), default=None
+            )
+        return weakest[v]
+
     def wants(v: int, u: int) -> bool:
         if matching.degree(v) < quotas[v]:
             return True
-        key = wt.key(v, u)
-        return any(wt.key(v, c) < key for c in matching.connections(v))
+        held = lightest(v)
+        return held is not None and held[0] < wt.key(v, u)
 
     steps = 0
     while True:
@@ -261,10 +280,13 @@ def greedy_repair(
         i, j = best_edge
         for v in (i, j):
             if matching.degree(v) >= quotas[v]:
-                worst = min(matching.connections(v), key=lambda c: wt.key(v, c))
+                worst = lightest(v)[1]
                 matching.remove(v, worst)
                 dirty.add(worst)
+                weakest.pop(worst, None)
         matching.add(i, j)
+        weakest.pop(i, None)
+        weakest.pop(j, None)
         dirty.update((i, j))
         stats.resolutions += 1
         steps += 1
@@ -282,6 +304,21 @@ class DynamicOverlay:
     after construction and after every churn event is::
 
         self.matching == LIC(current instance)   # checked in tests
+
+    Besides the matching, the overlay keeps every active peer's ranked
+    neighbour list as persistent state: a sorted row of ``(-score,
+    peer_id)`` keys (:class:`~repro.overlay.builder.RankedRow`, the rule
+    :func:`~repro.overlay.builder.build_preference_system` sorts by).
+    Each event patches only the rows it touches — a leave deletes one
+    key per neighbour (no metric call), a join or a move re-scores the
+    peer's own row and one key per neighbour — and the compact instance
+    is read off the rows, so no event re-scores the whole overlay.
+
+    Purity contract: the metric is a pure function of the two peers'
+    attributes, and a peer's attributes change only through this
+    class's methods (:meth:`update_position`).  Under it a patched row
+    equals a freshly scored one; mutating a :class:`Peer` behind the
+    overlay's back breaks the rows, which the service's guard detects.
 
     Parameters
     ----------
@@ -326,7 +363,28 @@ class DynamicOverlay:
         # matching in external-id space
         self._partners: dict[int, set[int]] = {pid: set() for pid in self._peers}
         self._next_id = max(self._peers, default=-1) + 1
+        self._rebuild_rows()
         self.full_rematch()
+
+    # -- ranked rows ------------------------------------------------------
+
+    def _score_row(self, pid: int) -> RankedRow:
+        """``pid``'s row scored afresh from the metric (rows not consulted)."""
+        peers = self._peers
+        return ranked_row(
+            peers[pid], [peers[q] for q in self._adj[pid]], scorer(self.metric)
+        )
+
+    def _rebuild_rows(self) -> None:
+        """Score every row from peers, adjacency and metric."""
+        self._rows: dict[int, RankedRow] = {
+            pid: self._score_row(pid) for pid in self._peers
+        }
+
+    def _insert_key(self, owner: int, pid: int) -> None:
+        """Score ``pid`` for ``owner`` and insert it into ``owner``'s row."""
+        peers = self._peers
+        self._rows[owner].insert(-scorer(self.metric)(peers[owner], peers[pid]), pid)
 
     # -- id space ---------------------------------------------------------
 
@@ -335,6 +393,22 @@ class DynamicOverlay:
         return sorted(self._peers)
 
     def _compact_instance(self) -> tuple[PreferenceSystem, list[int], dict[int, int]]:
+        """The compact instance read off the maintained rows (no metric calls)."""
+        ids = self.active_ids()
+        index = {pid: k for k, pid in enumerate(ids)}
+        rows = self._rows
+        ps = PreferenceSystem(
+            [[index[q] for q in rows[pid].ids] for pid in ids],
+            [self._peers[pid].quota for pid in ids],
+        )
+        return ps, ids, index
+
+    def _fresh_instance(self) -> tuple[PreferenceSystem, list[int], dict[int, int]]:
+        """The compact instance scored from scratch, ignoring the rows.
+
+        The independent authority the differential harness and the
+        tests compare the maintained rows against.
+        """
         ids = self.active_ids()
         index = {pid: k for k, pid in enumerate(ids)}
         topo_adj = [
@@ -424,14 +498,17 @@ class DynamicOverlay:
 
         The dirty region seeds with the leaver's former partners and all
         its overlay neighbours (whose preference-list lengths — hence
-        eq.-9 weights — changed).
+        eq.-9 weights — changed).  Patching the rows deletes one key per
+        neighbour and scores nothing.
         """
         if peer_id not in self._peers:
             raise KeyError(f"unknown peer {peer_id}")
         neighbours = set(self._adj[peer_id])
         del self._peers[peer_id]
+        del self._rows[peer_id]
         for q in neighbours:
             self._adj[q].discard(peer_id)
+            self._rows[q].remove(peer_id)
         del self._adj[peer_id]
         for q in self._partners.pop(peer_id, set()):
             self._partners[q].discard(peer_id)
@@ -451,7 +528,11 @@ class DynamicOverlay:
         neighbours: Iterable[int],
         repair: bool = True,
     ) -> tuple[int, RepairStats]:
-        """Add a peer knowing ``neighbours``; returns ``(peer_id, stats)``."""
+        """Add a peer knowing ``neighbours``; returns ``(peer_id, stats)``.
+
+        Scores the joiner's row and inserts one key into each
+        neighbour's row (about two metric calls per neighbour).
+        """
         pid = self._next_id
         self._next_id += 1
         peer.peer_id = pid
@@ -463,6 +544,8 @@ class DynamicOverlay:
         self._adj[pid] = set(neigh)
         for q in neigh:
             self._adj[q].add(pid)
+            self._insert_key(q, pid)
+        self._rows[pid] = self._score_row(pid)
         self._partners[pid] = set()
         # the joiner and its neighbours gained a list entry
         self._weight_dirty |= neigh
@@ -470,6 +553,32 @@ class DynamicOverlay:
         if not repair:
             return pid, RepairStats()
         return pid, self._repair(dirty_external=neigh | {pid})
+
+    def update_position(
+        self, peer_id: int, position, repair: bool = True
+    ) -> RepairStats:
+        """Move a peer; its whole neighbourhood re-ranks.
+
+        A position change re-scores ``peer_id`` in every neighbour's
+        list, which can shift the ranks of the neighbours' *other*
+        candidates too — so every edge incident to ``{peer_id} ∪
+        N(peer_id)`` is weight-dirty, not just the moved peer's own.
+        The mover's row is re-scored and its key in each neighbour's row
+        re-scored and re-inserted (about two metric calls per neighbour).
+        """
+        if peer_id not in self._peers:
+            raise KeyError(f"unknown peer {peer_id}")
+        self._peers[peer_id].position = np.asarray(position, dtype=float)
+        neighbours = self._adj[peer_id]
+        self._rows[peer_id] = self._score_row(peer_id)
+        for q in neighbours:
+            self._rows[q].remove(peer_id)
+            self._insert_key(q, peer_id)
+        dirty = {peer_id} | neighbours
+        self._weight_dirty |= dirty
+        if not repair:
+            return RepairStats()
+        return self._repair(dirty_external=dirty)
 
     def _repair(self, dirty_external: set[int]) -> RepairStats:
         # A churn event changes the preference-list lengths of the nodes

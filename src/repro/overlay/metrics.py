@@ -11,6 +11,16 @@ metric itself.
 Provided metrics mirror the paper's motivating list (§1): distance,
 interests, recommendations/history, available resources — plus
 composition and private per-peer idiosyncrasy.
+
+**Purity contract.**  A metric is a pure function of the two peers'
+attributes: the same pair with the same attributes always scores the
+same, and scoring one pair reads nothing else.  The churning overlay
+(:class:`repro.overlay.churn.DynamicOverlay`) relies on this to keep
+ranked neighbour lists across events and re-score only the pairs an
+event touches; it mutates peers only through its own methods.  A metric
+with hidden state (a clock, a counter, a shared RNG) would silently
+desynchronise those lists — the service guard would then report
+ranking drift.
 """
 
 from __future__ import annotations

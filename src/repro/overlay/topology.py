@@ -136,12 +136,13 @@ def random_geometric(n: int, radius: float, rng: np.random.Generator) -> Topolog
     if radius <= 0:
         raise ValueError(f"radius must be positive, got {radius}")
     pos = rng.uniform(0.0, 1.0, size=(n, 2))
-    # pairwise distances via broadcasting; fine for laptop-scale n
-    diff = pos[:, None, :] - pos[None, :, :]
-    dist = np.sqrt((diff**2).sum(axis=2))
-    iu, ju = np.triu_indices(n, k=1)
-    close = dist[iu, ju] <= radius
-    edges = {(int(a), int(b)) for a, b in zip(iu[close], ju[close])}
+    # one row of the upper triangle at a time: O(n) scratch memory
+    # instead of an (n, n, 2) broadcast, with the same arithmetic
+    edges: set[tuple[int, int]] = set()
+    for i in range(n - 1):
+        diff = pos[i] - pos[i + 1:]
+        close = np.sqrt((diff**2).sum(axis=1)) <= radius
+        edges.update((i, i + 1 + k) for k in np.flatnonzero(close).tolist())
     return _from_edge_set(n, edges, f"geo(n={n},r={radius})", positions=pos)
 
 

@@ -3,8 +3,11 @@
 The service's incremental state is only trustworthy because we can
 check it, at any moment, against a from-scratch authority:
 
-1. compact the live overlay into a fresh
-   :class:`~repro.core.prefs.PreferenceSystem`;
+1. score the live peers and adjacency into a fresh
+   :class:`~repro.core.preferences.PreferenceSystem` with
+   :func:`~repro.overlay.builder.build_preference_system` — never from
+   the ranked rows the overlay maintains — and require the rows to
+   match it;
 2. run the :mod:`repro.testing` oracles (quota, edge locality, mutual
    consistency) on the served matching;
 3. rebuild eq.-9 weights from scratch and count
@@ -42,6 +45,7 @@ class DifferentialReport:
     """Outcome of one conformance check against the fresh solve."""
 
     n: int
+    rankings_match_fresh: bool = True
     oracle_violations: list[str] = field(default_factory=list)
     blocking_edges: int = 0
     matches_fresh_solve: bool = True
@@ -52,7 +56,7 @@ class DifferentialReport:
     @property
     def ok(self) -> bool:
         """Exact conformance, or a truncation-explained bounded gap."""
-        if self.oracle_violations:
+        if self.oracle_violations or not self.rankings_match_fresh:
             return False
         if self.matches_fresh_solve and self.blocking_edges == 0:
             return True
@@ -68,10 +72,11 @@ def conformance_check(service, backend: str = "fast") -> DifferentialReport:
     Expensive (full weight rebuild + full LID solve) — callers sample
     it, they do not run it per event.
     """
-    ps, ids, index = service._compact_instance()
-    report = DifferentialReport(n=len(ids))
-    if not ids:
+    report = DifferentialReport(n=service.n)
+    if not service.n:
         return report
+    ps, _, index = service._fresh_instance()
+    report.rankings_match_fresh = service._compact_instance()[0] == ps
     matching = service._matching_compact(index)
     for oracle in (check_quota, check_edge_locality, check_mutual_consistency):
         oracle_report = oracle(ps, matching)

@@ -12,11 +12,13 @@ service's external-id state).  Checks:
   the external partner sets in O(n));
 - **mutual consent** — every matched edge joins two live peers that are
   overlay neighbours, and partnership is symmetric;
-- **eq.-9 weight consistency** — a deterministic sample of cached
-  weights must equal a fresh
-  :func:`~repro.core.satisfaction.delta_static` recomputation *exactly*
-  (the cache uses the same scalar arithmetic, so any drift is
-  corruption, not rounding).
+- **ranking and eq.-9 weight consistency** — for a deterministic sample
+  of overlay edges, both endpoints' ranked rows are scored afresh from
+  the metric (never read from the rows the overlay maintains) and must
+  equal the maintained rows; the cached eq.-9 weight must equal
+  :func:`~repro.core.satisfaction.static_increase` evaluated on those
+  fresh rows *exactly* (the cache uses the same scalar arithmetic, so
+  any drift is corruption, not rounding).
 
 A violation does not raise here: the service reads the
 :class:`GuardReport` and demotes itself to degraded full-re-solve mode
@@ -27,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.core.satisfaction import delta_static
+from repro.core.satisfaction import static_increase
 
 __all__ = ["GuardReport", "ServiceGuard"]
 
@@ -37,6 +39,7 @@ class GuardReport:
     """Outcome of one guard pass."""
 
     checked_peers: int = 0
+    checked_rows: int = 0
     checked_weights: int = 0
     violations: list[str] = field(default_factory=list)
 
@@ -51,10 +54,11 @@ class ServiceGuard:
     Parameters
     ----------
     weight_sample:
-        Cap on the number of cached edge weights recomputed per pass
-        (edges are taken in sorted key order starting at a cursor that
-        advances every pass, so successive passes sweep the whole
-        cache).  ``0`` disables the weight check.
+        Cap on the number of edges checked per pass (edges are taken in
+        sorted key order — the weight cache's keys, or the overlay's
+        edges on a backend without a cache — starting at a cursor that
+        advances every pass, so successive passes sweep them all).
+        ``0`` disables the check.
     """
 
     def __init__(self, weight_sample: int = 32):
@@ -99,44 +103,70 @@ class ServiceGuard:
                         f"mutual consent: {pid} ~ {q} is asymmetric"
                     )
 
-    # -- eq.-9 weight consistency --------------------------------------
+    # -- ranking and eq.-9 weight consistency ---------------------------
 
     def check_weights(self, service, report: GuardReport) -> None:
-        """Sampled exact recomputation of the incremental weight cache.
+        """Sampled exact re-derivation of the ranked rows and weight cache.
 
-        Uses the current compact instance, so it also catches a cache
-        whose entries survived a preference change they should not
-        have.  A no-op on the reference backend (no cache).
+        Each sampled edge's endpoints are scored afresh from the metric,
+        so the pass also catches a maintained row or a cached weight that
+        survived a preference change it should not have.  Its metric
+        calls are bounded by the sample (two rows per edge at most), not
+        by the overlay size.  Weights incident to peers whose lists
+        changed since the last refresh are *expected* stale and are not
+        compared; their rows still are.
         """
-        if self.weight_sample == 0 or service._wcache is None:
+        if self.weight_sample == 0:
             return
-        cached = service._wcache._w
-        if not cached:
+        cached = service._wcache._w if service._wcache is not None else None
+        if cached is not None:
+            edges = sorted(cached)
+        else:
+            edges = sorted(
+                (p, q) for p, qs in service._adj.items() for q in qs if p < q
+            )
+        if not edges:
             return
-        if service._weight_dirty:
-            # weights incident to dirty peers are *expected* stale until
-            # the next refresh; skip the pass rather than false-alarm
-            return
-        ps, ids, index = service._compact_instance()
-        keys = sorted(cached)
-        start = self._weight_cursor % len(keys)
-        take = min(self.weight_sample, len(keys))
+        start = self._weight_cursor % len(edges)
+        take = min(self.weight_sample, len(edges))
         self._weight_cursor += take
+        peers, adj, rows = service._peers, service._adj, service._rows
+        dirty = service._weight_dirty
+        fresh: dict[int, dict[int, int]] = {}  # peer -> {candidate: rank}
+
+        def fresh_ranks(pid: int) -> dict[int, int]:
+            if pid not in fresh:
+                row = service._score_row(pid)
+                report.checked_rows += 1
+                if rows.get(pid) != row:
+                    report.violations.append(
+                        f"ranking drift: peer {pid}'s maintained row differs"
+                        " from a fresh scoring"
+                    )
+                fresh[pid] = {q: r for r, q in enumerate(row.ids)}
+            return fresh[pid]
+
+        def delta(ranks: dict[int, int], me: int, other: int) -> float:
+            ell = len(ranks)  # quotas clamp to the list length, as in eq. 9
+            return static_increase(ranks[other], ell, min(peers[me].quota, ell))
+
         for off in range(take):
-            pa, pb = keys[(start + off) % len(keys)]
-            if pa not in index or pb not in index:
+            pa, pb = edges[(start + off) % len(edges)]
+            if pa not in peers or pb not in peers:
                 report.violations.append(
                     f"weight cache: entry ({pa}, {pb}) names a departed peer"
                 )
                 continue
-            a, b = index[pa], index[pb]
-            if not ps.has_edge(a, b):
+            if pb not in adj[pa]:
                 report.violations.append(
                     f"weight cache: entry ({pa}, {pb}) is not an instance edge"
                 )
                 continue
+            ranks_a, ranks_b = fresh_ranks(pa), fresh_ranks(pb)
+            if cached is None or pa in dirty or pb in dirty:
+                continue
             report.checked_weights += 1
-            expect = delta_static(ps, a, b) + delta_static(ps, b, a)
+            expect = delta(ranks_a, pa, pb) + delta(ranks_b, pb, pa)
             if cached[(pa, pb)] != expect:
                 report.violations.append(
                     f"weight drift: cached w({pa},{pb})={cached[(pa, pb)]!r}"

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -147,6 +148,14 @@ def _matching_sha(service: MatchingService) -> str:
     return hashlib.sha256(canon.encode("utf-8")).hexdigest()[:12]
 
 
+def _quantile(xs: list[float], q: float) -> float:
+    """Nearest-rank ``q``-quantile of ``xs`` (0.0 when empty)."""
+    if not xs:
+        return 0.0
+    ordered = sorted(xs)
+    return ordered[max(0, math.ceil(q * len(ordered)) - 1)]
+
+
 def run_service(
     config: ServiceConfig,
     checkpoint_dir: "str | Path | None" = None,
@@ -264,6 +273,10 @@ def run_service(
         # machine-dependent tail (excluded from canonical comparisons)
         "elapsed_ms": elapsed * 1000.0,
         "mean_repair_ms": mean_repair * 1000.0,
+        # per-event latency distribution of ``apply`` (nearest rank)
+        "event_p50_ms": _quantile(repair_s, 0.50) * 1000.0,
+        "event_p99_ms": _quantile(repair_s, 0.99) * 1000.0,
+        "event_max_ms": max(repair_s, default=0.0) * 1000.0,
         "mean_full_solve_ms": mean_full * 1000.0,
         "events_per_s": (stop_at - start_seq) / elapsed if elapsed > 0 else 0.0,
         "speedup_vs_full_x": (mean_full / mean_repair) if mean_repair > 0 else 0.0,

@@ -18,16 +18,19 @@ into something deployable:
   from a generator seeded with it;
 - **invariant guards and the degraded-mode ladder** — after every event
   a :class:`~repro.service.guards.ServiceGuard` pass checks capacity,
-  mutual consent and (sampled) eq.-9 weight consistency.  A violation
-  demotes the service to *degraded* mode: the weight cache is dropped,
-  the matching fully re-solved, and every event is answered by a full
-  re-solve until ``degraded_recovery`` consecutive clean events restore
-  incremental mode.  A violation that survives the full re-solve is
-  unrecoverable and raises :class:`ServiceCorruption`;
+  mutual consent and (sampled) ranking and eq.-9 weight consistency.  A
+  violation demotes the service to *degraded* mode: the ranked rows and
+  the weight cache are rebuilt, the matching fully re-solved, and every
+  event is answered by a full re-solve until ``degraded_recovery``
+  consecutive clean events restore incremental mode.  A violation that
+  survives the full re-solve is unrecoverable and raises
+  :class:`ServiceCorruption`;
 - **snapshots** — :meth:`snapshot` / :meth:`restore` round-trip the
   entire mutable state (peers, adjacency, partners, weight cache, dirty
   set, counters, ladder position) through plain JSON types, exactly;
   :mod:`repro.service.checkpoint` wraps them in versioned atomic files.
+  The overlay's ranked rows are derived state: :meth:`restore` re-scores
+  them from peers, adjacency and metric instead of checkpointing them.
 """
 
 from __future__ import annotations
@@ -105,7 +108,7 @@ class MatchingService(DynamicOverlay):
         repair truncates; ``"defer"`` serves the feasible truncated
         matching (almost-stable mode).
     weight_check_every:
-        Run the (compaction-priced) eq.-9 weight-consistency guard on
+        Run the sampled ranking and eq.-9 weight-consistency guard on
         every k-th event; structural guards run on every event.
     degraded_recovery:
         Consecutive clean events required to climb back from degraded
@@ -235,25 +238,6 @@ class MatchingService(DynamicOverlay):
 
     # -- churn beyond join/leave ---------------------------------------
 
-    def update_position(
-        self, peer_id: int, position, repair: bool = True
-    ) -> RepairStats:
-        """Move a peer; its whole neighbourhood re-ranks.
-
-        A position change re-scores ``peer_id`` in every neighbour's
-        list, which can shift the ranks of the neighbours' *other*
-        candidates too — so every edge incident to ``{peer_id} ∪
-        N(peer_id)`` is weight-dirty, not just the moved peer's own.
-        """
-        if peer_id not in self._peers:
-            raise KeyError(f"unknown peer {peer_id}")
-        self._peers[peer_id].position = np.asarray(position, dtype=float)
-        dirty = {peer_id} | self._adj[peer_id]
-        self._weight_dirty |= dirty
-        if not repair:
-            return RepairStats()
-        return self._repair(dirty_external=dirty)
-
     def crash(self, peer_id: int, repair: bool = True) -> RepairStats:
         """An ungraceful departure.
 
@@ -339,10 +323,11 @@ class MatchingService(DynamicOverlay):
             self.counters["degraded_entries"] += 1
         self.mode = "degraded"
         self._cooldown = self.degraded_recovery
+        # the ranked rows and the weight cache are suspects in any
+        # corruption: rebuild both from scratch along with the matching
+        self._rebuild_rows()
         if self._wcache is not None:
-            # the cache is a suspect in any corruption: rebuild it from
-            # scratch along with the matching
-            self._wcache._w.clear()
+            self._wcache.clear()
             self._weight_dirty.clear()
         self.full_rematch()
         self.counters["full_resolves"] += 1
@@ -460,4 +445,7 @@ class MatchingService(DynamicOverlay):
             svc._wcache._w = {
                 (int(a), int(b)): float(w) for a, b, w in state["weights"]
             }
+        # the ranked rows are derived state, not checkpointed: re-score
+        # them from the restored peers and adjacency
+        svc._rebuild_rows()
         return svc

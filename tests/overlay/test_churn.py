@@ -376,3 +376,101 @@ class TestOverlayChurnEdgeCases:
             )
             ids.append(pid)
         _assert_is_greedy_fixpoint(dyn)
+
+
+def _scan_repair(wt, quotas, matching, dirty, budget=None):
+    """The repair loop with ``wants`` as a per-candidate scan of the held
+    partners — the reference the weakest-held-key version must equal."""
+    from repro.overlay.churn import RepairStats
+
+    stats = RepairStats()
+    dirty = {v for v in dirty if 0 <= v < wt.n}
+    for a, b in matching.edges():
+        if not wt.has_edge(a, b):
+            matching.remove(a, b)
+            stats.stale_dropped += 1
+            dirty.update((a, b))
+
+    def wants(v, u):
+        if matching.degree(v) < quotas[v]:
+            return True
+        key = wt.key(v, u)
+        return any(wt.key(v, c) < key for c in matching.connections(v))
+
+    while True:
+        best = best_edge = None
+        for v in dirty:
+            for u in wt.neighbors(v):
+                stats.edges_scanned += 1
+                if matching.has_edge(v, u):
+                    continue
+                if wants(v, u) and wants(u, v):
+                    k = wt.key(v, u)
+                    if best is None or k > best:
+                        best, best_edge = k, (v, u)
+        if best_edge is None:
+            break
+        if budget is not None and stats.resolutions >= budget:
+            stats.truncated = True
+            break
+        i, j = best_edge
+        for v in (i, j):
+            if matching.degree(v) >= quotas[v]:
+                worst = min(matching.connections(v), key=lambda c: wt.key(v, c))
+                matching.remove(v, worst)
+                dirty.add(worst)
+        matching.add(i, j)
+        dirty.update((i, j))
+        stats.resolutions += 1
+    stats.dirty_nodes = len(dirty)
+    return stats
+
+
+class TestRepairMatchesScanReference:
+    """``greedy_repair`` keeps each node's weakest held key instead of
+    scanning its partners per candidate; matching and stats must not move."""
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_random_instances(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(6, 30))
+        weights = {}
+        for i in range(n):
+            for j in range(i + 1, n):
+                if rng.random() < 0.3:
+                    # a few repeated weights: ties fall to the node-id key
+                    weights[(i, j)] = float(rng.integers(1, 12)) / 4.0
+        wt = WeightTable(weights, n)
+        quotas = [int(q) for q in rng.integers(0, 4, size=n)]
+        # start from a feasible matching over a wider edge set, so some
+        # matched edges are stale and get scrubbed
+        start = Matching(n)
+        for i, j in rng.permutation([(i, j) for i in range(n) for j in range(i + 1, n)]):
+            i, j = int(i), int(j)
+            if (start.degree(i) < quotas[i] and start.degree(j) < quotas[j]
+                    and rng.random() < 0.2):
+                start.add(i, j)
+        dirty = {int(v) for v in rng.choice(n, size=int(rng.integers(1, n)), replace=False)}
+        for budget in (None, 0, 1, 3):
+            fast, ref = start.copy(), start.copy()
+            got = greedy_repair(wt, quotas, fast, set(dirty), budget=budget)
+            want = _scan_repair(wt, quotas, ref, set(dirty), budget=budget)
+            assert fast.edge_set() == ref.edge_set()
+            assert got == want
+
+    def test_overlay_churn_trajectory(self):
+        dyn = _dyn(n=40, seed=8, backend="fast")
+        rng = np.random.default_rng(29)
+        for _ in range(10):
+            ps, matching = dyn.instance()
+            wt = satisfaction_weights(ps)
+            dirty = {int(v) for v in rng.choice(ps.n, size=6, replace=False)}
+            # knock out a few matched edges so the repair has work to do
+            for a, b in list(matching.edges())[:3]:
+                matching.remove(a, b)
+            fast, ref = matching.copy(), matching.copy()
+            assert greedy_repair(wt, list(ps.quotas), fast, set(dirty)) == _scan_repair(
+                wt, list(ps.quotas), ref, set(dirty)
+            )
+            assert fast.edge_set() == ref.edge_set()
+            dyn.leave(int(rng.choice(dyn.active_ids())))
