@@ -176,7 +176,10 @@ def stable_roommates(ps: PreferenceSystem) -> StableRoommatesResult:
                 f"stable_roommates needs unit quotas, node {i} has b={ps.quota(i)}"
             )
     n = ps.n
-    complete = all(ps.degree(i) == n - 1 for i in ps.nodes())
+    # Irving's dichotomy needs every stable matching to be perfect, which
+    # complete lists force only for even n: with odd n the one agent left
+    # unmatched is exactly the one everyone rejects, so treat it as SRI
+    complete = n % 2 == 0 and all(ps.degree(i) == n - 1 for i in ps.nodes())
 
     table = _Table(ps)
     _phase1(table, n)

@@ -33,7 +33,6 @@ not merely close.  See ``docs/performance.md``.
 
 from __future__ import annotations
 
-from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -113,7 +112,8 @@ class FastInstance:
     def from_preference_system(cls, ps: PreferenceSystem) -> "FastInstance":
         """Lower a preference system: one vectorised pass, eq.-9 weights.
 
-        Rank recovery avoids per-edge dict lookups.  Each directed edge
+        Reads the instance's flat lists (:meth:`PreferenceSystem.flat_rows`)
+        as they are.  Rank recovery avoids per-edge dict lookups.  Each directed edge
         ``u → v`` is encoded as the *undirected* code
         ``min(u,v) * n + max(u,v)``; one stable argsort then places the
         two directions of every edge adjacently (i-side first, because
@@ -123,9 +123,8 @@ class FastInstance:
         searchsorted, no second sort.
         """
         n = ps.n
-        rankings = [ps.preference_list(v) for v in range(n)]
-        degs = np.fromiter(map(len, rankings), dtype=np.int64, count=n)
-        total = int(degs.sum())
+        degs, nbr = ps.flat_rows()
+        total = len(nbr)
         if total == 0:
             e = np.empty(0, dtype=np.int64)
             return cls(
@@ -138,7 +137,6 @@ class FastInstance:
                 rj=np.empty(0, dtype=np.float64),
                 ell=np.maximum(degs, 1).astype(np.float64),
             )
-        nbr = np.fromiter(chain.from_iterable(rankings), dtype=np.int64, count=total)
         own = np.repeat(np.arange(n, dtype=np.int64), degs)
         starts = np.zeros(n, dtype=np.int64)
         np.cumsum(degs[:-1], out=starts[1:])
@@ -205,12 +203,9 @@ class FastInstance:
         return self._order
 
     def weight_table(self) -> WeightTable:
-        """The equivalent :class:`WeightTable` (cached; dict-backed API)."""
+        """The equivalent :class:`WeightTable` (cached; its dict is built on first use)."""
         if self._wt is None:
-            weights = dict(
-                zip(zip(self.i.tolist(), self.j.tolist()), self.w.tolist())
-            )
-            self._wt = WeightTable.from_trusted(weights, self.n)
+            self._wt = WeightTable.from_trusted_arrays(self.i, self.j, self.w, self.n)
         return self._wt
 
     def __repr__(self) -> str:

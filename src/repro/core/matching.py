@@ -10,7 +10,7 @@ used throughout the experiments.
 
 from __future__ import annotations
 
-from itertools import islice, repeat
+from itertools import chain, islice, repeat
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -183,13 +183,29 @@ class Matching:
         """Raise :class:`InvalidMatchingError` unless feasible for ``ps``.
 
         Checks (a) every matched edge is a potential connection in ``E``
-        and (b) every node respects its quota ``b_i``.
+        and (b) every node respects its quota ``b_i``.  Both run as one
+        array pass over the instance's flat lists; the node-by-node scan
+        only runs to name the first offending node.
         """
-        if ps.n != self._n:
+        n = self._n
+        if ps.n != n:
             raise InvalidMatchingError(
-                f"matching over {self._n} nodes, instance has {ps.n}"
+                f"matching over {n} nodes, instance has {ps.n}"
             )
-        for i in range(self._n):
+        counts = np.fromiter(map(len, self._conn), dtype=np.int64, count=n)
+        bad = counts > np.asarray(ps.quotas, dtype=np.int64)
+        deg, nbr = ps.flat_rows()
+        nodes = np.arange(n, dtype=np.int64)
+        owners = np.repeat(nodes, counts)
+        partners = np.fromiter(
+            chain.from_iterable(self._conn), dtype=np.int64, count=len(owners)
+        )
+        # the sentinel n*n sorts above every code, so lookups stay in range
+        listed = np.sort(np.append(np.repeat(nodes, deg) * n + nbr, n * n))
+        matched = owners * n + partners
+        bad[owners[listed[np.searchsorted(listed, matched)] != matched]] = True
+        if bad.any():
+            i = int(bad.argmax())
             if len(self._conn[i]) > ps.quota(i):
                 raise InvalidMatchingError(
                     f"node {i} has {len(self._conn[i])} connections, quota {ps.quota(i)}"

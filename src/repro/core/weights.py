@@ -64,7 +64,7 @@ class WeightTable:
         Number of nodes; edges must stay within ``0..n-1``.
     """
 
-    __slots__ = ("_w", "_n", "_adj", "_sorted")
+    __slots__ = ("_w", "_n", "_adj", "_sorted", "_arrays")
 
     def __init__(self, weights: Mapping[Edge, float], n: int):
         self._n = n
@@ -120,6 +120,33 @@ class WeightTable:
         out._adj = None
         out._sorted = None
         return out
+
+    @classmethod
+    def from_trusted_arrays(cls, i, j, w, n: int) -> "WeightTable":
+        """Adopt parallel edge arrays; the weight dict is built on first use.
+
+        Same contract as :meth:`from_trusted` (canonical ``i < j`` in
+        ``0..n-1``, positive weights), for the fast backend's
+        :meth:`~repro.core.fast.FastInstance.weight_table`: a caller
+        that never reads the table never pays for its dict.
+        """
+        out = cls.__new__(cls)
+        out._n = n
+        out._arrays = (i, j, w)
+        out._adj = None
+        out._sorted = None
+        return out
+
+    def __getattr__(self, name: str):
+        # only reached while ``_w`` is unset: a table adopted from arrays
+        if name != "_w":
+            raise AttributeError(
+                f"{type(self).__name__!r} object has no attribute {name!r}"
+            )
+        i, j, w = self._arrays
+        self._w = dict(zip(zip(i.tolist(), j.tolist()), w.tolist()))
+        del self._arrays
+        return self._w
 
     # ------------------------------------------------------------------
     # lookups

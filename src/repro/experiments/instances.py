@@ -12,6 +12,7 @@ Three kinds of instances feed the benchmark harness:
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -85,12 +86,20 @@ def random_preference_instance(
 def _random_rankings(
     topo: Topology, quota: int | Sequence[int], rng: np.random.Generator
 ) -> PreferenceSystem:
-    rankings = {}
-    for i in range(topo.n):
-        neigh = np.array(topo.adjacency[i], dtype=int)
-        rng.shuffle(neigh)
-        rankings[i] = [int(x) for x in neigh]
-    return PreferenceSystem(rankings, quota)
+    """Shuffle each neighbourhood in place as a slice of one flat array.
+
+    ``Generator.shuffle`` draws the same on a 1-D view as on a fresh
+    copy of the row, so the rankings match shuffling row by row.
+    """
+    deg = np.fromiter(map(len, topo.adjacency), dtype=np.int64, count=topo.n)
+    flat = np.fromiter(
+        chain.from_iterable(topo.adjacency), dtype=np.int64, count=int(deg.sum())
+    )
+    ends = np.cumsum(deg).tolist()
+    rows = [flat[a:b] for a, b in zip([0, *ends[:-1]], ends)]
+    for row in rows:
+        rng.shuffle(row)
+    return PreferenceSystem(rows, quota)
 
 
 def family_instance(

@@ -14,6 +14,7 @@ symmetric) plus optional node positions for the geometric families.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice, repeat
 from typing import Optional
 
 import numpy as np
@@ -68,45 +69,63 @@ class Topology:
         return len(self.adjacency[i])
 
 
-def _from_edge_set(n: int, edges: set[tuple[int, int]], name: str, positions=None) -> Topology:
-    adjacency: list[list[int]] = [[] for _ in range(n)]
-    for i, j in edges:
-        adjacency[i].append(j)
-        adjacency[j].append(i)
-    for lst in adjacency:
-        lst.sort()
+def _from_pairs(
+    n: int, i: np.ndarray, j: np.ndarray, name: str, positions=None
+) -> Topology:
+    """Sorted adjacency lists of the simple graph with edges ``(i[k], j[k])``.
+
+    Mirrors every pair and sorts the directed codes ``own * n + nbr``
+    once; each node's neighbours are then one contiguous, ascending run.
+    """
+    own = np.concatenate((i, j)).astype(np.int64, copy=False)
+    codes = own * n + np.concatenate((j, i))
+    codes.sort()
+    entries = iter((codes % n).tolist())
+    counts = np.bincount(own, minlength=n).tolist()
+    adjacency = list(map(list, map(islice, repeat(entries), counts)))
     return Topology(adjacency, positions, name)
 
 
-# Above this many candidate pairs the dense G(n, p) sampler would
-# materialise multi-GB index arrays; switch to the sparse sampler.
+def _from_edge_set(n: int, edges: set[tuple[int, int]], name: str, positions=None) -> Topology:
+    pairs = np.array(list(edges), dtype=np.int64).reshape(-1, 2)
+    return _from_pairs(n, pairs[:, 0], pairs[:, 1], name, positions)
+
+
+# Above this many candidate pairs the dense G(n, p) sampler's draw
+# array alone would take gigabytes; switch to the sparse sampler.
 _ER_DENSE_PAIR_LIMIT = 30_000_000
 
 
 def erdos_renyi(n: int, p: float, rng: np.random.Generator) -> Topology:
     """G(n, p): every pair is an edge independently with probability p.
 
-    Small graphs sample all ``n(n-1)/2`` Bernoulli draws in one shot
-    (the draw stream — and hence every seeded instance used by the
-    tests and benchmarks — is unchanged).  Past
-    ``_ER_DENSE_PAIR_LIMIT`` candidate pairs that would allocate
-    tens of gigabytes, so large sparse graphs use the exact two-step
-    equivalent instead: draw ``|E| ~ Binomial(n(n-1)/2, p)``, then a
-    uniform ``|E|``-subset of distinct pairs (G(n, p) conditioned on
-    its edge count is uniform over subsets of that size).  The sparse
-    path consumes a different RNG stream, so the two regimes produce
-    different — but equally distributed — instances for a given seed.
+    Small graphs sample all ``n(n-1)/2`` Bernoulli draws in one shot,
+    one per upper-triangle position in row-major order (the draw
+    stream — and hence every seeded instance used by the tests and
+    benchmarks — is unchanged); the positions of the hits are decoded
+    to ``(i, j)`` against the row start offsets, without materialising
+    the triangle's index arrays.  Past ``_ER_DENSE_PAIR_LIMIT``
+    candidate pairs the draws alone would take gigabytes, so large
+    sparse graphs use the exact two-step equivalent instead: draw
+    ``|E| ~ Binomial(n(n-1)/2, p)``, then a uniform ``|E|``-subset of
+    distinct pairs (G(n, p) conditioned on its edge count is uniform
+    over subsets of that size).  The sparse path consumes a different
+    RNG stream, so the two regimes produce different — but equally
+    distributed — instances for a given seed.
     """
     if n <= 0:
         raise ValueError(f"n must be positive, got {n}")
     if not (0.0 <= p <= 1.0):
         raise ValueError(f"p must be in [0,1], got {p}")
+    name = f"er(n={n},p={p})"
     total_pairs = n * (n - 1) // 2
     if total_pairs <= _ER_DENSE_PAIR_LIMIT:
-        iu, ju = np.triu_indices(n, k=1)
-        mask = rng.random(iu.shape[0]) < p
-        edges = {(int(a), int(b)) for a, b in zip(iu[mask], ju[mask])}
-        return _from_edge_set(n, edges, f"er(n={n},p={p})")
+        hits = np.flatnonzero(rng.random(total_pairs) < p)
+        # row i of the triangle holds pairs (i, i+1..n-1) from start[i] on
+        start = np.zeros(n, dtype=np.int64)
+        np.cumsum(np.arange(n - 1, 0, -1, dtype=np.int64), out=start[1:])
+        i = np.searchsorted(start, hits, side="right") - 1
+        return _from_pairs(n, i, hits - start[i] + i + 1, name)
     m = int(rng.binomial(total_pairs, p))
     codes = np.empty(0, dtype=np.int64)
     while codes.shape[0] < m:
@@ -118,11 +137,12 @@ def erdos_renyi(n: int, p: float, rng: np.random.Generator) -> Topology:
         a = rng.integers(0, n, size=draw, dtype=np.int64)
         b = rng.integers(0, n, size=draw, dtype=np.int64)
         keep = a < b
-        codes = np.unique(np.concatenate([codes, a[keep] * n + b[keep]]))
+        # sorted distinct codes; np.unique's hash path is far slower here
+        codes = np.sort(np.concatenate([codes, a[keep] * n + b[keep]]))
+        codes = codes[np.concatenate(([True], codes[1:] != codes[:-1]))]
     if codes.shape[0] > m:
         codes = rng.choice(codes, size=m, replace=False)
-    edges = {(int(c // n), int(c % n)) for c in codes}
-    return _from_edge_set(n, edges, f"er(n={n},p={p})")
+    return _from_pairs(n, codes // n, codes % n, name)
 
 
 def random_geometric(n: int, radius: float, rng: np.random.Generator) -> Topology:

@@ -87,6 +87,19 @@ class TestClassicInstances:
         if res.matching is not None:
             assert is_stable(ps, res.matching)
 
+    def test_odd_complete_instance_with_stable_matching(self):
+        """A triangle where 0 and 1 rank each other first: {(0, 1)} is stable.
+
+        Node 2 is rejected by everyone, which proves nothing when n is
+        odd — someone must stay unmatched.
+        """
+        ps = PreferenceSystem({0: [1, 2], 1: [0, 2], 2: [0, 1]}, 1)
+        res = stable_roommates(ps)
+        assert res.exists is not False
+        if res.certain:
+            assert res.matching.edge_set() == {(0, 1)}
+        assert exhaustive_stable_exists(ps).edge_set() == {(0, 1)}
+
     def test_two_people(self):
         ps = PreferenceSystem({0: [1], 1: [0]}, 1)
         res = stable_roommates(ps)

@@ -1,5 +1,7 @@
 """Vectorised kernels must agree exactly with the scalar references."""
 
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,7 +15,7 @@ from repro.core.fast import (
 )
 from repro.core.lic import lic_matching, solve_modified_bmatching
 from repro.core.preferences import PreferenceSystem
-from repro.core.weights import satisfaction_weights
+from repro.core.weights import WeightTable, satisfaction_weights
 
 from repro.testing.strategies import preference_systems, random_ps, weighted_instances
 
@@ -134,6 +136,24 @@ class TestFastInstance:
         fi2 = FastInstance.from_weight_table(wt, ps.quotas)
         assert np.array_equal(fi.i, fi2.i) and np.array_equal(fi.j, fi2.j)
         assert np.array_equal(fi.w, fi2.w)
+
+    def test_weight_table_dict_built_on_first_use(self):
+        ps = random_ps(30, 0.3, 3, seed=23, ensure_edges=True)
+        fi = FastInstance.from_preference_system(ps)
+        wt = fi.weight_table()
+        unset = WeightTable._w.__get__  # the slot itself, bypassing the lazy build
+        with pytest.raises(AttributeError):
+            unset(wt)
+        ref = satisfaction_weights(ps)
+        assert dict(wt.items()) == dict(ref.items())
+        assert list(wt.edges()) == list(zip(fi.i.tolist(), fi.j.tolist()))
+        assert unset(wt) is wt._w
+        assert fi.weight_table() is wt
+        assert wt.m == ref.m and wt.sorted_edges() == ref.sorted_edges()
+        assert all(sorted(wt.neighbors(v)) == sorted(ref.neighbors(v)) for v in ps.nodes())
+        # a pickled table carries its weights whether or not they were read
+        fresh = FastInstance.from_preference_system(ps).weight_table()
+        assert dict(pickle.loads(pickle.dumps(fresh)).items()) == dict(ref.items())
 
     def test_empty_instance(self):
         ps = PreferenceSystem({0: [], 1: []}, 1)

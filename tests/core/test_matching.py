@@ -1,9 +1,12 @@
 """Unit tests for the Matching container."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.matching import Matching
 from repro.core.weights import satisfaction_weights
+from repro.testing.strategies import preference_systems
 from repro.utils.validation import InvalidMatchingError
 
 
@@ -96,6 +99,31 @@ class TestValidation:
     def test_validate_wrong_n(self, small_ps):
         with pytest.raises(InvalidMatchingError, match="instance has"):
             Matching(4).validate(small_ps)
+
+    @settings(max_examples=100, deadline=None)
+    @given(preference_systems(max_n=7), st.data())
+    def test_validate_names_the_first_offender(self, ps, data):
+        """Same verdict and message as the node-by-node scan it replaced."""
+        pairs = [(i, j) for i in ps.nodes() for j in ps.nodes() if i < j]
+        if not pairs:
+            return
+        m = Matching(ps.n, data.draw(st.lists(st.sampled_from(pairs), unique=True)))
+
+        def scan():
+            for i in range(ps.n):
+                if m.degree(i) > ps.quota(i):
+                    return f"node {i} has {m.degree(i)} connections, quota {ps.quota(i)}"
+                for j in m._conn[i]:
+                    if not ps.has_edge(i, j):
+                        return f"matched edge ({i},{j}) is not a potential connection"
+            return None
+
+        try:
+            m.validate(ps)
+            got = None
+        except InvalidMatchingError as exc:
+            got = str(exc)
+        assert got == scan()
 
     def test_residual_quota(self, small_ps):
         m = Matching(5, [(1, 3)])

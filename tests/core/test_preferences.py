@@ -1,5 +1,6 @@
 """Unit tests for the PreferenceSystem problem model."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 
@@ -88,6 +89,41 @@ class TestValidation:
     def test_rejects_bool_quota(self):
         with pytest.raises(InvalidInstanceError):
             PreferenceSystem({0: [1], 1: [0]}, True)
+
+    @pytest.mark.parametrize(
+        "rankings, node",
+        [
+            ({0: [1.7], 1: [0]}, 0),
+            ({0: [True], 1: [0]}, 0),
+            ({0: [np.float64(1.2)], 1: [0]}, 0),
+            ({0: [1], 1: [0.0]}, 1),
+            ([[1, 2], [0], [np.bool_(False)]], 2),
+            ([np.array([1.0]), np.array([0.0])], 0),
+            ([np.array([1]), np.array([False])], 1),
+            ([[1], "0"], 1),
+        ],
+    )
+    def test_rejects_non_integer_entries(self, rankings, node):
+        with pytest.raises(InvalidInstanceError, match=f"node {node} ranks non-integer"):
+            PreferenceSystem(rankings, 1)
+
+    @pytest.mark.parametrize(
+        "rankings",
+        [
+            {0: [np.int64(1)], 1: [np.int32(0)]},
+            [np.array([1], dtype=np.uint8), np.array([0], dtype=np.int16)],
+            [np.array([1, 2]), [0], (np.int64(0),)],
+            [[1], [0], np.array([])],
+            [np.array([1]), np.array([0]), np.array([])],
+        ],
+    )
+    def test_accepts_numpy_integers(self, rankings):
+        ps = PreferenceSystem(rankings, 1)
+        lists = [[int(j) for j in r] for r in (
+            rankings.values() if isinstance(rankings, dict) else rankings
+        )]
+        assert [list(ps.neighbors(i)) for i in ps.nodes()] == lists
+        assert all(type(j) is int for i in ps.nodes() for j in ps.neighbors(i))
 
 
 class TestAccessors:
