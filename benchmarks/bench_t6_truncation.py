@@ -19,6 +19,10 @@ two instability measures and the satisfaction earned:
   approaches the full guarantee — most of the satisfaction is earned in
   the first few proposal waves, long before quiescence.
 
+``solve_ms`` is the whole ``solve_lid`` call; ``report_ms`` is the part
+of it spent filling the report's quality fields (the
+``truncation_report`` phase of ``metrics.phase_seconds``).
+
 Expected shape: blocking pairs fall steeply then plateau at the
 almost-stable residual; weighted blocking pairs hit exactly 0 at
 convergence; the ratio knee sits around k ≈ 4–6 at this degree.
@@ -69,6 +73,9 @@ def test_t6_truncation_sweep(report, benchmark, bench_seed):
                 "satisfaction_ratio": round(t.satisfaction_ratio, 6),
                 "theorem3_floor": round(t.satisfaction_ratio * bound, 6),
                 "solve_ms": round(solve_ms, 1),
+                "report_ms": round(
+                    res.metrics.phase_seconds["truncation_report"] * 1e3, 1
+                ),
             }
         )
         prev_bp = t.blocking_pairs
@@ -77,7 +84,7 @@ def test_t6_truncation_sweep(report, benchmark, bench_seed):
         rows,
         ["k_label", "k", "n", "m", "rounds", "converged", "released_locks",
          "blocking_pairs", "bp_delta_vs_prev", "weighted_blocking_pairs",
-         "satisfaction_ratio", "theorem3_floor", "solve_ms"],
+         "satisfaction_ratio", "theorem3_floor", "solve_ms", "report_ms"],
         title=f"T6  almost-stable truncation sweep at n={N}"
               f" (Theorem 3 bound = {bound:.4f})",
         csv_name="t6_truncation.csv",

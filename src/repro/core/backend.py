@@ -17,10 +17,10 @@ pipeline (eq.-9 weights → LIC edge selection → satisfaction scoring):
   boundary reconciliation, optional ``multiprocessing`` workers and
   numba compilation).
 
-Both produce the same results — bit-identical weights and identical
-edge sets (see ``docs/performance.md``) — so callers pick purely on
-instance size.  :func:`get_backend` is the one switch threaded through
-:func:`repro.core.lic.solve_modified_bmatching`,
+Both produce the same results — bit-identical weights and satisfaction
+profiles, identical edge sets (see ``docs/performance.md``) — so callers
+pick purely on instance size.  :func:`get_backend` is the one switch
+threaded through :func:`repro.core.lic.solve_modified_bmatching`,
 :class:`repro.overlay.churn.DynamicOverlay`,
 :func:`repro.experiments.runner.sweep` and the ``python -m repro`` CLI.
 """

@@ -19,8 +19,9 @@ path on them:
   *always* the exact LIC edge set (confluence, Lemmas 4/6),
 - :func:`edge_weight_arrays` / :func:`satisfaction_weights_fast` —
   eq.-9 weights for all edges in one vectorised pass,
-- :func:`satisfaction_profile_fast` — per-node eq.-1 / eq.-6
-  satisfaction for a whole matching via ``np.add.at`` scatter sums.
+- :func:`node_satisfaction` / :func:`satisfaction_profile_fast` —
+  per-node eq.-1 / eq.-6 satisfaction for a whole matching from
+  ``bincount`` counts and rank sums, bit-identical to the reference.
 
 Every kernel is differentially tested against its scalar reference
 (``tests/core/test_fast.py``) and benchmarked in
@@ -48,6 +49,7 @@ __all__ = [
     "edge_weight_arrays",
     "satisfaction_weights_fast",
     "satisfaction_profile_fast",
+    "node_satisfaction",
 ]
 
 
@@ -202,6 +204,26 @@ class FastInstance:
             self._order = np.argsort(self.w, kind="stable")[::-1]
         return self._order
 
+    def edge_mask(self, i, j) -> np.ndarray:
+        """Boolean ``[m]`` mask selecting the canonical edges ``(i[k], j[k])``.
+
+        One ``searchsorted`` over the codes ``i·n + j``, which the
+        canonical edge order keeps ascending.  Raises :class:`ValueError`
+        naming the first pair that is not an edge of the instance.
+        """
+        n = self.n
+        want = np.asarray(i, dtype=np.int64) * n + np.asarray(j, dtype=np.int64)
+        codes = self.i * n + self.j
+        idx = np.searchsorted(codes, want)
+        hit = idx < self.m
+        hit[hit] = codes[idx[hit]] == want[hit]
+        if not hit.all():
+            k = int(np.flatnonzero(~hit)[0])
+            raise ValueError(f"({want[k] // n}, {want[k] % n}) is not an edge of the instance")
+        mask = np.zeros(self.m, dtype=bool)
+        mask[idx] = True
+        return mask
+
     def weight_table(self) -> WeightTable:
         """The equivalent :class:`WeightTable` (cached; its dict is built on first use)."""
         if self._wt is None:
@@ -278,9 +300,24 @@ def lic_matching_fast(
         sequential scan (vectorisation overhead beats Python below it).
     """
     fi = _coerce_instance(src, quotas)
+    selected = _lic_selected(
+        fi, quotas, max_rounds=max_rounds, tail_threshold=tail_threshold
+    )
+    return Matching.from_trusted_arrays(fi.n, fi.i[selected], fi.j[selected])
+
+
+def _lic_selected(
+    fi: FastInstance,
+    quotas: Sequence[int] | None = None,
+    *,
+    max_rounds: int = 64,
+    tail_threshold: int = 2048,
+) -> np.ndarray:
+    """The LIC edge set of ``fi`` as a boolean ``[m]`` mask (see :func:`lic_matching_fast`)."""
     n, m = fi.n, fi.m
+    selected = np.zeros(m, dtype=bool)
     if m == 0:
-        return Matching(n)
+        return selected
     i, j = fi.i, fi.j
     order = fi.sorted_order()
 
@@ -290,7 +327,6 @@ def lic_matching_fast(
         residual = np.asarray(quotas, dtype=fi.quota.dtype).copy()
         if residual.shape != (n,):
             raise ValueError(f"quotas must have length {n}, got {residual.shape}")
-    selected = np.zeros(m, dtype=bool)
     # pool = edges whose endpoints both retain capacity (isolated-node
     # safety), kept in scan order throughout: it starts as a filter of
     # `order` and every later update is an order-preserving boolean
@@ -353,15 +389,7 @@ def lic_matching_fast(
                 selected[k] = True
                 res[a] -= 1
                 res[b] -= 1
-
-    return Matching.from_trusted_arrays(n, i[selected], j[selected])
-
-
-def _instance_arrays(ps: PreferenceSystem):
-    """Edge-indexed arrays (i, j, R_i(j), R_j(i)) and node arrays (ℓ, b)."""
-    fi = FastInstance.from_preference_system(ps)
-    b = np.maximum(fi.quota, 1).astype(np.float64)
-    return fi.i, fi.j, fi.ri, fi.rj, fi.ell, b
+    return selected
 
 
 def edge_weight_arrays(ps: PreferenceSystem):
@@ -383,41 +411,53 @@ def satisfaction_weights_fast(ps: PreferenceSystem) -> WeightTable:
     return FastInstance.from_preference_system(ps).weight_table()
 
 
+def node_satisfaction(
+    fi: FastInstance, matched: np.ndarray, kind: str = "full"
+) -> np.ndarray:
+    """Per-node eq.-1 (``"full"``) or eq.-6 (``"static"``) satisfaction.
+
+    ``matched`` is a boolean ``[m]`` mask of the matched edges of ``fi``.
+    Connection counts and rank sums come from ``bincount``; the formula
+    is then evaluated operation for operation like
+    :func:`repro.core.satisfaction.full_satisfaction` /
+    :func:`~repro.core.satisfaction.static_satisfaction`, so every entry
+    is bit-identical to :meth:`Matching.satisfaction_vector`.
+    """
+    if kind not in ("full", "static"):
+        raise ValueError(f"kind must be 'full' or 'static', got {kind!r}")
+    if fi.ri is None:
+        raise ValueError("satisfaction needs ranks: lower a PreferenceSystem, not a WeightTable")
+    n = fi.n
+    mi, mj = fi.i[matched], fi.j[matched]
+    c = np.bincount(mi, minlength=n) + np.bincount(mj, minlength=n)
+    over = np.flatnonzero(c > fi.quota)
+    if len(over):
+        v = int(over[0])
+        raise ValueError(f"node {v} has {c[v]} connections, quota is {fi.quota[v]}")
+    c = c.astype(np.float64)
+    rank_sum = np.bincount(mi, weights=fi.ri[matched], minlength=n)
+    rank_sum += np.bincount(mj, weights=fi.rj[matched], minlength=n)
+    isolated = fi.quota == 0
+    b = np.where(isolated, 1, fi.quota).astype(np.float64)
+    # c / b + c (c - 1) / (2 b ℓ) - Σ R / (b ℓ), left to right as in eq. 1
+    out = c / b
+    if kind == "full":
+        out += c * (c - 1.0) / (2.0 * b * fi.ell)
+    out -= rank_sum / (b * fi.ell)
+    # isolated nodes (quota 0) score 0 by definition
+    out[isolated] = 0.0
+    return out
+
+
 def satisfaction_profile_fast(
     ps: PreferenceSystem, matching: Matching, kind: str = "full"
 ) -> np.ndarray:
     """Vectorised per-node satisfaction of a matching.
 
-    Equivalent to :meth:`Matching.satisfaction_vector`; scatter-adds the
-    matched-edge rank contributions with ``np.add.at`` instead of
-    iterating per node.
+    Bit-identical to :meth:`Matching.satisfaction_vector`: lowers ``ps``
+    and evaluates :func:`node_satisfaction` on the matched-edge mask.
+    Raises :class:`ValueError` when a matched edge is not an edge of
+    ``ps`` or a node exceeds its quota.
     """
-    if kind not in ("full", "static"):
-        raise ValueError(f"kind must be 'full' or 'static', got {kind!r}")
-    n = ps.n
-    counts = np.zeros(n, dtype=np.float64)
-    rank_sums = np.zeros(n, dtype=np.float64)
-    edges = matching.edges()
-    if edges:
-        i_arr = np.empty(len(edges), dtype=np.int64)
-        j_arr = np.empty(len(edges), dtype=np.int64)
-        ri = np.empty(len(edges), dtype=np.float64)
-        rj = np.empty(len(edges), dtype=np.float64)
-        for k, (i, j) in enumerate(edges):
-            i_arr[k] = i
-            j_arr[k] = j
-            ri[k] = ps.rank(i, j)
-            rj[k] = ps.rank(j, i)
-        np.add.at(counts, i_arr, 1.0)
-        np.add.at(counts, j_arr, 1.0)
-        np.add.at(rank_sums, i_arr, ri)
-        np.add.at(rank_sums, j_arr, rj)
-    ell = np.array([max(ps.list_length(v), 1) for v in ps.nodes()], dtype=np.float64)
-    b_true = np.array([ps.quota(v) for v in ps.nodes()], dtype=np.float64)
-    b = np.maximum(b_true, 1.0)
-    out = counts / b - rank_sums / (b * ell)
-    if kind == "full":
-        out = out + counts * (counts - 1.0) / (2.0 * b * ell)
-    # isolated nodes (quota 0) score 0 by definition
-    out[b_true == 0] = 0.0
-    return out
+    fi = FastInstance.from_preference_system(ps)
+    return node_satisfaction(fi, fi.edge_mask(*matching.edge_arrays()), kind)

@@ -124,6 +124,12 @@ class FastLidResult:
         (structural fields only; quality fields are filled by
         ``solve_lid``).  Present for every run — ``max_rounds=None``
         runs report ``converged=True`` with zero released locks.
+    matched_mask:
+        Boolean ``[m]`` mask of the matched edges over the lowered
+        instance's canonical edge arrays, set for round-capped runs
+        (``max_rounds`` given; ``None`` otherwise).  ``solve_lid``'s
+        truncation report reads it instead of re-deriving it from
+        ``matching``.
     """
 
     matching: Matching
@@ -132,6 +138,7 @@ class FastLidResult:
     rejs_sent: np.ndarray
     late_messages: int
     truncation: Optional[TruncationReport] = None
+    matched_mask: Optional[np.ndarray] = None
 
     @property
     def prop_messages(self) -> int:

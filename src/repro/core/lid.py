@@ -611,6 +611,8 @@ def solve_lid(
     matching on all of them — and fills the quality fields of
     ``result.truncation`` (blocking-pair count, satisfaction ratio vs
     the converged LIC matching); see :mod:`repro.core.truncation`.
+    The report's wall time joins ``result.metrics.phase_seconds`` as
+    ``truncation_report``; converged runs keep the engine's phase keys.
     """
     from repro.core.backend import resolve_backend_name
 
@@ -658,12 +660,9 @@ def solve_lid(
                 fi, max_rounds=max_rounds, telemetry=telemetry, probe=probe
             )
         result.matching.validate(ps)
-        wt = fi.weight_table()
         if max_rounds is not None:
-            result.truncation = finalize_truncation(
-                result.truncation, ps, result.matching, wt=wt
-            )
-        return result, wt
+            _report_truncation(result, fi, result.matched_mask, telemetry)
+        return result, fi.weight_table()
     wt = satisfaction_weights(ps)
     result = run_lid(
         wt,
@@ -680,7 +679,18 @@ def solve_lid(
     )
     result.matching.validate(ps)
     if max_rounds is not None:
-        result.truncation = finalize_truncation(
-            result.truncation, ps, result.matching, wt=wt
-        )
+        from repro.core.fast import FastInstance
+
+        fi = FastInstance.from_preference_system(ps)
+        mask = fi.edge_mask(*result.matching.edge_arrays())
+        _report_truncation(result, fi, mask, telemetry)
     return result, wt
+
+
+def _report_truncation(result, fi, matched, telemetry) -> None:
+    """Fill ``result.truncation``'s quality fields inside a ``truncation_report`` span."""
+    tel = telemetry if telemetry is not None else Telemetry()
+    mark = tel.mark()
+    with tel.span("truncation_report"):
+        result.truncation = finalize_truncation(result.truncation, fi, matched)
+    result.metrics.phase_seconds.update(tel.phase_seconds(since=mark))

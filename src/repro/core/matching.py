@@ -143,6 +143,16 @@ class Matching:
             (i, j) for i in range(self._n) for j in self._conn[i] if i < j
         )
 
+    def edge_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """Matched edges as canonical ``int64`` endpoint arrays ``(i, j)``, ``i < j``."""
+        counts = np.fromiter(map(len, self._conn), dtype=np.int64, count=self._n)
+        owners = np.repeat(np.arange(self._n, dtype=np.int64), counts)
+        partners = np.fromiter(
+            chain.from_iterable(self._conn), dtype=np.int64, count=len(owners)
+        )
+        keep = owners < partners
+        return owners[keep], partners[keep]
+
     def edge_set(self) -> frozenset[Edge]:
         """Matched edges as a frozenset of canonical pairs."""
         return frozenset(

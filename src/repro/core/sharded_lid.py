@@ -906,6 +906,10 @@ def sharded_lid_matching(
             released = int(np.count_nonzero(lk_raw & ~lk))
         half = lk & (owner < nbr)
         matching = Matching.from_trusted_arrays(n, owner[half], nbr[half])
+        # only the truncation report reads the mask: converged runs skip it
+        matched_mask = (
+            None if max_rounds is None else fi.edge_mask(owner[half], nbr[half])
+        )
 
         metrics = SimMetrics()
         total_props = int(props_arr.sum())
@@ -960,6 +964,7 @@ def sharded_lid_matching(
             converged=(pending == 0),
             released_locks=released,
         ),
+        matched_mask=matched_mask,
         shards=k,
         jit=(kernel_mode == "jit"),
         cut_messages=cut_messages,

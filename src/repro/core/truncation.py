@@ -34,6 +34,8 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Optional
 
+import numpy as np
+
 __all__ = [
     "TruncationReport",
     "finalize_truncation",
@@ -48,10 +50,14 @@ class TruncationReport:
 
     The structural fields (``max_rounds`` / ``rounds`` / ``converged`` /
     ``released_locks``) are filled by every engine from its own run
-    state.  The *quality* fields need the :class:`PreferenceSystem` the
+    state.  The *quality* fields need the ranks of the instance the
     weights came from, so they stay ``None`` at the engine layer and are
     filled by :func:`finalize_truncation` (which
-    :func:`repro.core.lid.solve_lid` calls for truncated runs).
+    :func:`repro.core.lid.solve_lid` calls for truncated runs).  Each
+    quality field is *defined* by the reference verifier named below
+    (:mod:`repro.baselines.verify`, :meth:`Matching.total_satisfaction`)
+    and *computed* by :func:`finalize_truncation`'s array kernel, which
+    equals that definition under ``==``.
 
     Attributes
     ----------
@@ -69,23 +75,26 @@ class TruncationReport:
         confirming ``PROP`` was still in flight).  Always ``0`` when
         ``converged``.
     blocking_pairs:
-        ``len(baselines.verify.blocking_pairs(ps, matching))`` — the
+        Defined as ``baselines.verify.count_blocking_pairs`` — the
         rank-based almost-stability measure.  Monotone non-increasing in
         ``k`` (truncated matchings are nested: locks are permanent, so
         the round-``k`` edge set is a subset of round ``k+1``'s), but
         *not* 0 at convergence — LID is a Theorem-3 approximation, not a
         classically stable mechanism.
     weighted_blocking_pairs:
-        ``baselines.verify.count_weighted_blocking_pairs`` — blocking
-        under the eq.-9 total-order keys.  Exactly ``0`` at convergence
-        (locally dominant selection leaves no weight-blocking pair), so
-        this is the distance-to-fixpoint measure the CI gate pins.
+        Defined as ``baselines.verify.count_weighted_blocking_pairs`` —
+        blocking under the eq.-9 total-order keys.  Exactly ``0`` at
+        convergence (locally dominant selection leaves no weight-blocking
+        pair), so this is the distance-to-fixpoint measure the CI gate
+        pins.
     satisfaction:
-        Full eq.-1 satisfaction of the truncated matching.
+        Full eq.-1 satisfaction of the truncated matching, defined as
+        ``Matching.total_satisfaction``.
     satisfaction_ratio:
         ``satisfaction`` over the converged (LIC) matching's
-        satisfaction — the fraction of the protocol's final quality
-        already secured after ``k`` rounds (``1.0`` at convergence).
+        satisfaction (the LIC edge set of the same instance) — the
+        fraction of the protocol's final quality already secured after
+        ``k`` rounds (``1.0`` at convergence).
     """
 
     max_rounds: Optional[int]
@@ -115,49 +124,61 @@ def validate_max_rounds(max_rounds) -> Optional[int]:
     return int(max_rounds)
 
 
-def lic_baseline_satisfaction(ps) -> float:
+def lic_baseline_satisfaction(fi) -> float:
     """Satisfaction of the converged matching, without running LID.
 
     By Lemmas 3–4 the converged LID matching *is* the LIC edge set, so
-    the truncation baseline is one (cheap, vectorised) LIC solve — no
-    second protocol simulation.
+    the truncation baseline is one (cheap, vectorised) LIC solve on the
+    run's own :class:`~repro.core.fast.FastInstance` — no second
+    protocol simulation and no second lowering.
     """
-    from repro.core.fast import FastInstance, lic_matching_fast
+    from repro.core.fast import _lic_selected, node_satisfaction
 
-    fi = FastInstance.from_preference_system(ps)
-    return float(lic_matching_fast(fi).total_satisfaction(ps))
+    return float(node_satisfaction(fi, _lic_selected(fi)).sum())
 
 
-def finalize_truncation(
-    report: TruncationReport,
-    ps,
-    matching,
-    wt=None,
-    baseline_satisfaction: Optional[float] = None,
-) -> TruncationReport:
+def finalize_truncation(report: TruncationReport, fi, matched) -> TruncationReport:
     """Fill the quality fields of an engine-produced report.
 
-    ``wt`` (the run's :class:`~repro.core.weights.WeightTable`) enables
-    the weighted blocking-pair count; without it that field stays
-    ``None``.  ``baseline_satisfaction`` lets callers that already
-    solved LIC on the instance (the grid engine, benchmarks) skip the
-    baseline solve.
-    """
-    from repro.baselines.verify import (
-        count_blocking_pairs,
-        count_weighted_blocking_pairs,
-    )
+    ``fi`` is the run's :class:`~repro.core.fast.FastInstance` and
+    ``matched`` the boolean ``[m]`` mask of its matched edges.  Every
+    field is one vectorised pass over those arrays, equal under ``==``
+    to the :mod:`repro.baselines.verify` definition (the parity suite
+    ``tests/core/test_truncation_report.py`` holds the two together):
 
-    sat = float(matching.total_satisfaction(ps))
-    if baseline_satisfaction is None:
-        baseline_satisfaction = lic_baseline_satisfaction(ps)
-    ratio = sat / baseline_satisfaction if baseline_satisfaction > 0 else 1.0
+    - a node *accepts* a partner when it has spare quota or ranks it
+      above its worst held partner (rank notion) / keys the edge above
+      its lightest held edge (eq.-9 notion); an unmatched edge blocks
+      when both endpoints accept;
+    - the eq.-9 total order ``(w, i, j)`` is the inverse permutation of
+      :meth:`~repro.core.fast.FastInstance.sorted_order` (position 0 is
+      the heaviest key), so "key above" is "position below".
+    """
+    from repro.core.fast import node_satisfaction
+
+    n, i, j = fi.n, fi.i, fi.j
+    mi, mj = i[matched], j[matched]
+    spare = np.bincount(mi, minlength=n) + np.bincount(mj, minlength=n) < fi.quota
+    free = ~matched
+
+    def blocking(score_i, score_j) -> int:
+        # held[v]: the worst score among v's partners (-1 when unmatched);
+        # a lower score is better, so a node accepts anything below it
+        held = np.full(n, -1, dtype=score_i.dtype)
+        np.maximum.at(held, mi, score_i[matched])
+        np.maximum.at(held, mj, score_j[matched])
+        accept_i = spare[i] | (score_i < held[i])
+        accept_j = spare[j] | (score_j < held[j])
+        return int(np.count_nonzero(free & accept_i & accept_j))
+
+    pos = np.empty(fi.m, dtype=np.int64)
+    pos[fi.sorted_order()] = np.arange(fi.m, dtype=np.int64)
+    sat = float(node_satisfaction(fi, matched).sum())
+    baseline = lic_baseline_satisfaction(fi)
     return replace(
         report,
-        blocking_pairs=count_blocking_pairs(ps, matching),
-        weighted_blocking_pairs=(
-            None if wt is None else count_weighted_blocking_pairs(ps, matching, wt)
-        ),
+        blocking_pairs=blocking(fi.ri, fi.rj),
+        weighted_blocking_pairs=blocking(pos, pos),
         satisfaction=sat,
-        satisfaction_ratio=ratio,
+        satisfaction_ratio=sat / baseline if baseline > 0 else 1.0,
     )

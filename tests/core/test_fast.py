@@ -54,7 +54,26 @@ class TestSatisfactionFast:
         for kind in ("full", "static"):
             fast = satisfaction_profile_fast(ps, matching, kind)
             slow = matching.satisfaction_vector(ps, kind)
-            assert np.allclose(fast, slow, atol=1e-12)
+            assert np.array_equal(fast, slow)
+
+    @pytest.mark.parametrize("kind", ["full", "static"])
+    def test_bit_identical_on_lic_matching_at_n3000(self, kind):
+        """eq. 1 evaluated in a different order differed by one ulp on 1,288 nodes."""
+        from repro.experiments import random_preference_instance
+
+        ps = random_preference_instance(3000, 10 / 2999, 3, seed=0)
+        matching = lic_matching_fast(ps)
+        fast = satisfaction_profile_fast(ps, matching, kind)
+        assert np.array_equal(fast, matching.satisfaction_vector(ps, kind))
+
+    def test_rejects_non_edge_and_quota_overflow(self):
+        from repro.core.matching import Matching
+
+        ps = PreferenceSystem({0: [1, 2], 1: [0, 2], 2: [1, 0], 3: []}, 1)
+        with pytest.raises(ValueError, match="not an edge"):
+            satisfaction_profile_fast(ps, Matching(4, [(0, 3)]))
+        with pytest.raises(ValueError, match="quota"):
+            satisfaction_profile_fast(ps, Matching(4, [(0, 1), (0, 2)]))
 
     def test_empty_matching(self):
         ps = random_ps(10, 0.3, 2, seed=3, ensure_edges=True)
