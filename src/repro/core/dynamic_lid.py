@@ -56,6 +56,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
+from repro.core.lid import converged_matching, mutual_locks
 from repro.core.matching import Matching
 from repro.distsim.network import LatencyModel, Network
 from repro.distsim.node import ProtocolNode
@@ -394,20 +395,8 @@ class DynamicLidHarness:
 
     def matching(self) -> Matching:
         """Mutual-lock matching over the full id space (validated symmetric)."""
-        m = Matching(len(self.nodes))
-        for i in self.alive:
-            for j in self.nodes[i].locked:
-                if j not in self.alive or i not in self.nodes[j].locked:
-                    raise ProtocolError(f"asymmetric lock {i} ~ {j} at quiescence")
-                if i < j:
-                    m.add(i, j)
-        return m
+        return converged_matching(self.nodes, self.alive)
 
     def half_locks(self) -> list[tuple[int, int]]:
         """Asymmetric locks (must be empty at quiescence)."""
-        out = []
-        for i in self.alive:
-            for j in self.nodes[i].locked:
-                if j not in self.alive or i not in self.nodes[j].locked:
-                    out.append((i, j))
-        return out
+        return mutual_locks(self.nodes, self.alive)[1]

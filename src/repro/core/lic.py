@@ -33,13 +33,16 @@ Two implementations are provided:
 
 from __future__ import annotations
 
-from typing import Literal, Sequence
+from typing import TYPE_CHECKING, Literal, Sequence
 
 import numpy as np
 
 from repro.core.matching import Matching
 from repro.core.preferences import PreferenceSystem
-from repro.core.weights import WeightTable, satisfaction_weights
+from repro.core.weights import WeightTable
+
+if TYPE_CHECKING:
+    from repro.core.backend import Backend
 
 __all__ = [
     "lic_matching",
@@ -182,7 +185,7 @@ def lic_matching_pool(
 
 
 def solve_modified_bmatching(
-    ps: PreferenceSystem, backend: str = "reference"
+    ps: PreferenceSystem, backend: "str | Backend" = "reference"
 ) -> tuple[Matching, WeightTable]:
     """End-to-end LIC pipeline for a preference system.
 
@@ -194,18 +197,12 @@ def solve_modified_bmatching(
     Parameters
     ----------
     backend:
-        ``"reference"`` (scalar, default) or ``"fast"`` (array-backed,
+        Any name (or :class:`~repro.core.backend.Backend`) that
+        :func:`~repro.core.backend.get_backend` accepts: ``"reference"``
+        (scalar, default), ``"fast"`` or ``"sharded"`` (array-backed,
         :mod:`repro.core.fast`) — identical results either way; see
         ``docs/performance.md``.
     """
-    if backend == "fast":
-        from repro.core.fast import FastInstance, lic_matching_fast
+    from repro.core.backend import get_backend
 
-        fi = FastInstance.from_preference_system(ps)
-        return lic_matching_fast(fi), fi.weight_table()
-    if backend != "reference":
-        raise ValueError(
-            f"unknown backend {backend!r}; choose from ['fast', 'reference']"
-        )
-    wt = satisfaction_weights(ps)
-    return lic_matching(wt, ps.quotas), wt
+    return get_backend(backend).solve(ps)

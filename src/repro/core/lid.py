@@ -51,7 +51,7 @@ Implementation notes
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from repro.core.matching import Matching
 from repro.core.preferences import PreferenceSystem
@@ -60,7 +60,7 @@ from repro.core.truncation import (
     finalize_truncation,
     validate_max_rounds,
 )
-from repro.core.weights import WeightTable, satisfaction_weights
+from repro.core.weights import WeightTable
 from repro.distsim.metrics import SimMetrics
 from repro.distsim.network import LatencyModel, Network
 from repro.distsim.node import ProtocolNode
@@ -69,7 +69,18 @@ from repro.distsim.tracing import Trace
 from repro.telemetry.spans import Telemetry
 from repro.utils.validation import ProtocolError, check_quotas
 
-__all__ = ["LidCore", "LidNode", "LidResult", "run_lid", "solve_lid"]
+if TYPE_CHECKING:
+    from repro.core.backend import Backend
+
+__all__ = [
+    "LidCore",
+    "LidNode",
+    "LidResult",
+    "converged_matching",
+    "mutual_locks",
+    "run_lid",
+    "solve_lid",
+]
 
 PROP = "PROP"
 REJ = "REJ"
@@ -405,39 +416,41 @@ class LidResult:
         return self.metrics.max_depth
 
 
-def _extract_matching(nodes: Sequence[LidNode]) -> Matching:
-    n = len(nodes)
-    matching = Matching(n)
-    for i, node in enumerate(nodes):
-        for j in node.locked:
-            if not (0 <= j < n) or i not in nodes[j].locked:
-                raise ProtocolError(
-                    f"asymmetric lock: {i} locked {j} but not vice versa"
-                )
-            if i < j:
-                matching.add(i, j)
-    return matching
+def mutual_locks(nodes, among=None) -> tuple[Matching, list[tuple[int, int]]]:
+    """The matching of mutual locks, plus every one-sided lock ``(i, j)``.
 
-
-def _extract_mutual_matching(nodes) -> tuple[Matching, int]:
-    """Mutual locks of a truncated run; counts released one-sided locks.
-
-    A directed lock whose reverse never locked means the partner's
-    confirming ``PROP`` was still in flight at the round cap — the lock
-    is released (the paper's unresolved state resolves to "no edge"),
-    matching the array engines' ``lk & lk[rev]`` extraction.
+    Reads ``nodes[i].locked`` for ``i`` in ``among`` (default: every
+    node).  A lock ``i → j`` is mutual when ``j`` is in ``among`` too
+    and locked ``i`` back; any other lock is one-sided — in a truncated
+    run the partner's confirming ``PROP`` was still in flight at the
+    round cap, so the lock is released (the paper's unresolved state
+    resolves to "no edge"), matching the array engines' ``lk & lk[rev]``
+    extraction.  Converged callers use :func:`converged_matching`.
     """
-    n = len(nodes)
-    matching = Matching(n)
-    released = 0
-    for i, node in enumerate(nodes):
-        for j in node.locked:
-            if 0 <= j < n and i in nodes[j].locked:
+    ids = range(len(nodes)) if among is None else sorted(among)
+    members = set(ids)
+    matching = Matching(len(nodes))
+    one_sided = []
+    for i in ids:
+        for j in nodes[i].locked:
+            if j in members and i in nodes[j].locked:
                 if i < j:
                     matching.add(i, j)
             else:
-                released += 1
-    return matching, released
+                one_sided.append((i, j))
+    return matching, one_sided
+
+
+def converged_matching(nodes, among=None) -> Matching:
+    """:func:`mutual_locks` of a quiescent run, which has no one-sided lock.
+
+    Raises :class:`~repro.utils.validation.ProtocolError` on one.
+    """
+    matching, one_sided = mutual_locks(nodes, among)
+    if one_sided:
+        i, j = one_sided[0]
+        raise ProtocolError(f"asymmetric lock: {i} locked {j} but not vice versa")
+    return matching
 
 
 def run_lid(
@@ -540,9 +553,10 @@ def run_lid(
                     raise ProtocolError(
                         f"node {i} did not finish (Lemma 5 violated?)"
                     )
-            matching = _extract_matching(nodes)
+            matching = converged_matching(nodes)
         else:
-            matching, released = _extract_mutual_matching(nodes)
+            matching, one_sided = mutual_locks(nodes)
+            released = len(one_sided)
     metrics.phase_seconds = tel.phase_seconds(since=mark)
     return LidResult(
         matching=matching,
@@ -564,15 +578,12 @@ def solve_lid(
     fifo: bool = True,
     seed: int = 0,
     trace: Optional[Trace] = None,
-    backend: str = "reference",
+    backend: "str | Backend" = "reference",
     drop_filter=None,
     retransmit_timeout: Optional[float] = None,
     max_rounds: Optional[int] = None,
     telemetry=None,
     probe=None,
-    shards: Optional[int] = None,
-    shard_workers: Optional[int] = None,
-    jit: Optional[bool] = None,
 ) -> tuple[LidResult, WeightTable]:
     """End-to-end LID pipeline for a preference system.
 
@@ -581,30 +592,26 @@ def solve_lid(
     matching's full satisfaction is a ¼(1+1/b_max)-approximation of the
     maximising-satisfaction b-matching optimum.
 
-    ``backend="fast"`` replays the default channel model (reliable FIFO
-    unit latency — the faithful Algorithm 1 schedule) through the
-    round-batched :func:`repro.core.fast_lid.lid_matching_fast` engine,
-    returning a bit-identical matching and message statistics at a
-    fraction of the cost.  It therefore rejects a custom ``latency`` /
+    ``backend`` is a name or a :class:`~repro.core.backend.Backend`
+    (see :func:`~repro.core.backend.get_backend`).  ``"fast"`` replays
+    the default channel model (reliable FIFO unit latency — the faithful
+    Algorithm 1 schedule) through the round-batched
+    :func:`repro.core.fast_lid.lid_matching_fast` engine, returning a
+    bit-identical matching and message statistics at a fraction of the
+    cost; ``"sharded"`` runs the same schedule through the partitioned
+    engine of :mod:`repro.core.sharded_lid` — the identical matching
+    for any shard count.  Pass
+    ``backend=ShardedBackend(shards=…, workers=…, jit=…)`` to configure
+    it (``multiprocessing`` workers, optional numba with graceful
+    fallback).  Both array backends reject a custom ``latency`` /
     ``trace`` / non-FIFO configuration **and any fault-injected run**
-    (``drop_filter`` / ``retransmit_timeout``): round batching is only
-    exact when every sent message is delivered exactly one round later,
-    which loss and retransmission timers break.  Such runs raise
-    :class:`ValueError` naming the fallback — re-run with
-    ``backend="reference"``, the event-by-event simulator, which
-    executes them faithfully (the fallback is tested end-to-end in
-    ``tests/core/test_backend.py``).  The fast result mirrors
-    :class:`LidResult` except that per-node statistics live in
-    ``props_sent`` / ``rejs_sent`` arrays rather than node objects.
-
-    ``backend="sharded"`` runs the same faithful schedule through the
-    partitioned engine of :mod:`repro.core.sharded_lid` — the identical
-    matching for any shard count, with per-shard wave loops that can
-    execute in ``multiprocessing`` workers (``shard_workers``) and
-    optionally under numba (``jit``; graceful fallback when absent).
-    It shares the fast backend's channel/fault restrictions;
-    ``shards`` / ``shard_workers`` / ``jit`` raise :class:`ValueError`
-    with any other backend.
+    (``drop_filter`` / ``retransmit_timeout``) with a
+    :class:`ValueError` naming the fallback, ``backend="reference"`` —
+    the event-by-event simulator, which executes them faithfully (the
+    fallback is tested end-to-end in ``tests/core/test_backend.py``).
+    Array results mirror :class:`LidResult` except that per-node
+    statistics live in ``props_sent`` / ``rejs_sent`` arrays rather than
+    node objects.
 
     ``max_rounds=k`` runs the round-truncated almost-stable variant on
     whichever backend is selected — the identical feasible partial
@@ -614,76 +621,26 @@ def solve_lid(
     The report's wall time joins ``result.metrics.phase_seconds`` as
     ``truncation_report``; converged runs keep the engine's phase keys.
     """
-    from repro.core.backend import resolve_backend_name
+    from repro.core.backend import get_backend
 
-    backend = resolve_backend_name(backend)
-    if backend != "sharded" and (
-        shards is not None or shard_workers is not None or jit is not None
-    ):
-        raise ValueError(
-            "shards / shard_workers / jit only apply to backend='sharded' "
-            f"(got backend={backend!r})"
-        )
-    if backend in ("fast", "sharded"):
-        if latency is not None or trace is not None or not fifo:
-            raise ValueError(
-                f"backend={backend!r} replays only the default reliable FIFO "
-                "unit-latency channels; use backend='reference' for custom "
-                "latency, tracing, or non-FIFO runs"
-            )
-        if drop_filter is not None or retransmit_timeout is not None:
-            raise ValueError(
-                f"backend={backend!r} cannot replay fault-injected runs: "
-                "message loss and retransmission timers break the one-round "
-                "delivery assumption of the round-batched engine; use "
-                "backend='reference' (the event-by-event simulator) for "
-                "drop_filter / retransmit_timeout runs"
-            )
-        from repro.core.fast import FastInstance
-        from repro.core.fast_lid import lid_matching_fast
-
-        fi = FastInstance.from_preference_system(ps)
-        if backend == "sharded":
-            from repro.core.sharded_lid import sharded_lid_matching
-
-            result = sharded_lid_matching(
-                fi,
-                shards=4 if shards is None else shards,
-                workers=0 if shard_workers is None else shard_workers,
-                jit=jit,
-                max_rounds=max_rounds,
-                telemetry=telemetry,
-                probe=probe,
-            )
-        else:
-            result = lid_matching_fast(
-                fi, max_rounds=max_rounds, telemetry=telemetry, probe=probe
-            )
-        result.matching.validate(ps)
-        if max_rounds is not None:
-            _report_truncation(result, fi, result.matched_mask, telemetry)
-        return result, fi.weight_table()
-    wt = satisfaction_weights(ps)
-    result = run_lid(
-        wt,
+    be = get_backend(backend)
+    inst, wt = be.lower(ps)
+    result = be.lid(
+        inst,
         ps.quotas,
+        seed=seed,
+        telemetry=telemetry,
+        probe=probe,
+        max_rounds=max_rounds,
         latency=latency,
         fifo=fifo,
-        seed=seed,
         trace=trace,
         drop_filter=drop_filter,
         retransmit_timeout=retransmit_timeout,
-        max_rounds=max_rounds,
-        telemetry=telemetry,
-        probe=probe,
     )
     result.matching.validate(ps)
     if max_rounds is not None:
-        from repro.core.fast import FastInstance
-
-        fi = FastInstance.from_preference_system(ps)
-        mask = fi.edge_mask(*result.matching.edge_arrays())
-        _report_truncation(result, fi, mask, telemetry)
+        _report_truncation(result, *be.report_arrays(ps, inst, result), telemetry)
     return result, wt
 
 

@@ -30,14 +30,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from repro.core.lid import LidNode
+from repro.core.lid import LidNode, converged_matching
 from repro.core.matching import Matching
 from repro.core.weights import WeightTable
 from repro.distsim.metrics import SimMetrics
 from repro.distsim.network import LatencyModel, Network
 from repro.distsim.scheduler import Simulator
 from repro.utils.rng import spawn_rng
-from repro.utils.validation import ProtocolError
 
 __all__ = ["MixedRunResult", "run_mixed_adoption"]
 
@@ -100,15 +99,8 @@ def run_mixed_adoption(
     sim.run()
 
     deadlocked = [i for i, nd in enumerate(nodes) if not nd.finished]
-    matching = Matching(n)
-    for i, nd in enumerate(nodes):
-        for j in nd.locked:
-            if i not in nodes[j].locked:
-                raise ProtocolError(f"asymmetric lock {i} ~ {j} at quiescence")
-            if i < j:
-                matching.add(i, j)
     return MixedRunResult(
-        matching=matching,
+        matching=converged_matching(nodes),
         metrics=sim.metrics,
         adopters=adopter_set,
         deadlocked_nodes=deadlocked,

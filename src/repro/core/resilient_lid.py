@@ -49,7 +49,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Optional, Sequence
 
-from repro.core.lid import PROP, REJ, LidCore
+from repro.core.lid import PROP, REJ, LidCore, mutual_locks
 from repro.core.matching import Matching
 from repro.core.truncation import TruncationReport, validate_max_rounds
 from repro.distsim.failures import (
@@ -318,22 +318,6 @@ class ResilientLidResult:
         return frozenset(out)
 
 
-def _extract_mutual(nodes, live_honest: frozenset[int]) -> tuple[Matching, int]:
-    """Mutual locks among live honest nodes; counts one-sided leftovers."""
-    matching = Matching(len(nodes))
-    asymmetric = 0
-    for i in sorted(live_honest):
-        for j in nodes[i].locked:
-            if j not in live_honest:
-                continue
-            if i in nodes[j].locked:
-                if i < j:
-                    matching.add(i, j)
-            else:
-                asymmetric += 1
-    return matching, asymmetric
-
-
 def run_resilient_lid(
     wt: WeightTable,
     quotas: Sequence[int],
@@ -475,7 +459,9 @@ def run_resilient_lid(
         else:
             violations = []
 
-        matching, asymmetric = _extract_mutual(nodes, live_honest)
+        matching, one_sided = mutual_locks(nodes, live_honest)
+        # a lock on a crashed or Byzantine peer is not an asymmetry
+        asymmetric = sum(j in live_honest for _, j in one_sided)
         suspected_edges = frozenset(
             (i, j) if i < j else (j, i)
             for i in range(n)

@@ -46,7 +46,7 @@ from repro.baselines import (
     max_satisfaction_bmatching_milp,
     random_bmatching,
 )
-from repro.core import solve_lid
+from repro.core import BACKENDS, ShardedBackend, get_backend, solve_lid
 from repro.experiments.instances import (
     FAMILIES,
     cyclic_roommates,
@@ -63,14 +63,11 @@ __all__ = ["main", "build_parser"]
 
 def _cmd_scenario(args) -> int:
     sc = build_scenario(args.name, args.n, seed=args.seed)
-    if args.backend == "sharded":
-        result, _ = solve_lid(sc.ps, backend="sharded", shards=args.shards,
-                              shard_workers=args.shard_workers,
-                              jit=True if args.jit else None,
-                              max_rounds=args.max_rounds)
-    else:
-        result, _ = solve_lid(sc.ps, backend=args.backend,
-                              max_rounds=args.max_rounds)
+    backend = get_backend(args.backend)
+    if isinstance(backend, ShardedBackend):
+        backend = ShardedBackend(shards=args.shards, workers=args.shard_workers,
+                                 jit=True if args.jit else None)
+    result, _ = solve_lid(sc.ps, backend=backend, max_rounds=args.max_rounds)
     m = result.matching
     v = m.satisfaction_vector(sc.ps)
     print(f"scenario={sc.name} n={sc.ps.n} m={sc.ps.m} b_max={sc.ps.b_max}")
@@ -103,9 +100,7 @@ def _cmd_compare(args) -> int:
 
     lid, _ = solve_lid(ps)
     add("LID", lid.matching)
-    from repro.core.backend import get_backend
-
-    add(f"LIC[{args.backend}]", get_backend(args.backend).solve(ps))
+    add(f"LIC[{args.backend}]", get_backend(args.backend).solve(ps)[0])
     add("random", random_bmatching(ps, spawn_rng(args.seed, "cli-random")))
     br = best_response_dynamics(ps, max_steps=4000)
     add("best-response" + ("" if br.converged else "*"), br.matching)
@@ -511,7 +506,7 @@ def _cmd_churn(args) -> int:
     print(f"{args.events} churn events -> {overlay.n} peers alive,"
           f" {changes} connection changes,"
           f" satisfaction {overlay.total_satisfaction():.2f}")
-    if args.backend == "fast" and reused + recomputed:
+    if reused + recomputed:
         print(f"weight cache: {reused} reused / {recomputed} recomputed"
               f" ({100.0 * reused / (reused + recomputed):.0f}% reuse)")
     return 0
@@ -614,7 +609,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("name", choices=sorted(SCENARIOS))
     p.add_argument("--n", type=int, default=60)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--backend", choices=["reference", "fast", "sharded"],
+    p.add_argument("--backend", choices=sorted(BACKENDS),
                    default="reference",
                    help="LID execution path: event-by-event simulator, the"
                         " round-batched fast engine, or the partitioned"
@@ -639,7 +634,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=40)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--exact", action="store_true", help="also solve the MILP optimum")
-    p.add_argument("--backend", choices=["reference", "fast", "sharded"],
+    p.add_argument("--backend", choices=sorted(BACKENDS),
                    default="reference",
                    help="execution backend for the LIC pipeline row")
     p.set_defaults(fn=_cmd_compare)
@@ -841,7 +836,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=50)
     p.add_argument("--events", type=int, default=20)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--backend", choices=["reference", "fast", "sharded"],
+    p.add_argument("--backend", choices=sorted(BACKENDS),
                    default="reference",
                    help="reference rebuilds weights per event; fast/sharded"
                         " use the incremental WeightCache")

@@ -236,7 +236,7 @@ def _run_static(spec: GridSpec, cell: GridCell, tel=NULL, probe=None) -> dict:
     else:
         t0 = time.perf_counter()
         with tel.span("solve"):
-            matching = backend.solve(ps)
+            matching, _ = backend.solve(ps)
         record["lic_ms"] = 1e3 * (time.perf_counter() - t0)
 
     record.update(_sat_stats(ps, matching))

@@ -59,8 +59,9 @@ def sweep(
     multiprocessing constraint).  Record order is identical to the
     sequential order either way, so seeded sweeps stay reproducible.
 
-    ``backend`` selects the ``"reference"``/``"fast"`` execution path
-    (validated via :func:`repro.core.backend.get_backend`): it is passed
+    ``backend`` names a ``"reference"``/``"fast"``/``"sharded"``
+    execution path (validated via
+    :func:`repro.core.backend.get_backend`): it is passed
     through to ``run`` when its signature accepts a ``backend`` keyword,
     and annotated on every record either way.
     """

@@ -31,13 +31,12 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from repro.core.backend import resolve_backend_name
-from repro.core.fast import FastInstance, lic_matching_fast
-from repro.core.lic import lic_matching
+from repro.core.backend import Backend, get_backend
+from repro.core.fast import FastInstance
 from repro.core.matching import Matching
 from repro.core.preferences import PreferenceSystem
 from repro.core.satisfaction import delta_static
-from repro.core.weights import WeightTable, satisfaction_weights
+from repro.core.weights import WeightTable
 from repro.overlay.builder import (
     RankedRow,
     build_preference_system,
@@ -123,12 +122,9 @@ class WeightCache:
         """Drop all cached weights (next refresh bulk-fills)."""
         self._w.clear()
 
-    def seed(self, fi: FastInstance, ids: list[int]) -> None:
-        """Warm the cache from an already-lowered :class:`FastInstance`."""
-        self._w = {
-            (ids[a], ids[b]): w
-            for a, b, w in zip(fi.i.tolist(), fi.j.tolist(), fi.w.tolist())
-        }
+    def seed(self, wt: WeightTable, ids: list[int]) -> None:
+        """Warm the cache from an already-built compact weight table."""
+        self._w = {(ids[a], ids[b]): w for (a, b), w in wt.items()}
 
     def refresh(
         self,
@@ -325,9 +321,11 @@ class DynamicOverlay:
     topology, peers, metric:
         As for :func:`repro.overlay.builder.build_preference_system`.
     backend:
-        ``"reference"`` (default) rebuilds the eq.-9 weight table from
-        scratch on every event; ``"fast"`` keeps a :class:`WeightCache`
-        (only dirty edges are rescaled per event) and runs the
+        A name (or :class:`~repro.core.backend.Backend`) for
+        :func:`~repro.core.backend.get_backend`.  ``"reference"``
+        (default) rebuilds the eq.-9 weight table from scratch on every
+        event; ``"fast"`` and ``"sharded"`` keep a :class:`WeightCache`
+        (only dirty edges are rescaled per event) and run the
         array-backed :func:`~repro.core.fast.lic_matching_fast` for full
         rematches.  Matchings are identical either way — only the cost
         differs (see ``docs/performance.md``).
@@ -338,12 +336,11 @@ class DynamicOverlay:
         topology: Topology,
         peers: list[Peer],
         metric: SuitabilityMetric | MetricAssignment,
-        backend: str = "reference",
+        backend: "str | Backend" = "reference",
     ):
-        self.backend = resolve_backend_name(backend)
-        self._wcache: WeightCache | None = (
-            WeightCache() if self.backend == "fast" else None
-        )
+        be = get_backend(backend)
+        self.backend = be.name
+        self._wcache: WeightCache | None = WeightCache() if be.caches_weights else None
         # external ids whose preference lists changed since the cache
         # was last refreshed (covers repair=False events)
         self._weight_dirty: set[int] = set()
@@ -427,13 +424,14 @@ class DynamicOverlay:
     ) -> tuple[WeightTable, int, int]:
         """Eq.-9 weights for the compact instance; ``(wt, reused, recomputed)``.
 
-        The fast backend serves them from the :class:`WeightCache`,
-        rescaling only edges incident to peers dirtied since the last
-        refresh; the reference backend rebuilds from scratch.
+        A backend that caches weights serves them from the
+        :class:`WeightCache`, rescaling only edges incident to peers
+        dirtied since the last refresh; the reference backend rebuilds
+        from scratch.
         """
         if self._wcache is None:
             self._weight_dirty.clear()
-            return satisfaction_weights(ps), 0, 0
+            return get_backend(self.backend).build_weights(ps), 0, 0
         out = self._wcache.refresh(ps, ids, self._weight_dirty)
         self._weight_dirty.clear()
         return out
@@ -483,14 +481,10 @@ class DynamicOverlay:
     def full_rematch(self) -> None:
         """Recompute the matching from scratch (the baseline A3 compares to)."""
         ps, ids, _ = self._compact_instance()
-        if self.backend == "fast":
-            fi = FastInstance.from_preference_system(ps)
-            matching = lic_matching_fast(fi)
-            assert self._wcache is not None
-            self._wcache.seed(fi, ids)
+        matching, wt = get_backend(self.backend).solve(ps)
+        if self._wcache is not None:
+            self._wcache.seed(wt, ids)
             self._weight_dirty.clear()
-        else:
-            matching = lic_matching(satisfaction_weights(ps), ps.quotas)
         self._store_matching(matching, ids)
 
     def leave(self, peer_id: int, repair: bool = True) -> RepairStats:

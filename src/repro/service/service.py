@@ -40,6 +40,7 @@ from typing import Iterable, Optional
 
 import numpy as np
 
+from repro.core.backend import get_backend
 from repro.core.fast import FastInstance
 from repro.core.fast_lid import lid_matching_fast
 from repro.core.truncation import validate_max_rounds
@@ -194,7 +195,7 @@ class MatchingService(DynamicOverlay):
             fi.weight_table(), list(ps.quotas), matching, range(ps.n)
         )
         if self._wcache is not None:
-            self._wcache.seed(fi, ids)
+            self._wcache.seed(fi.weight_table(), ids)
             self._weight_dirty.clear()
         self._store_matching(matching, ids)
 
@@ -402,7 +403,8 @@ class MatchingService(DynamicOverlay):
         the service config seed), exactly as at first construction.
         """
         svc = cls.__new__(cls)
-        svc.backend = str(state["backend"])
+        backend = get_backend(str(state["backend"]))
+        svc.backend = backend.name
         svc.repair_budget = repair_budget
         svc.on_budget = on_budget
         svc.weight_check_every = weight_check_every
@@ -439,9 +441,10 @@ class MatchingService(DynamicOverlay):
         }
         svc._weight_dirty = {int(pid) for pid in state["weight_dirty"]}
         svc._next_id = int(state["next_id"])
-        svc._wcache = None
-        if state["weights"] is not None:
-            svc._wcache = WeightCache()
+        # a caching backend restored without weights (older snapshots of
+        # sharded runs wrote none) starts cold: its first refresh bulk-fills
+        svc._wcache = WeightCache() if backend.caches_weights else None
+        if svc._wcache is not None and state["weights"] is not None:
             svc._wcache._w = {
                 (int(a), int(b)): float(w) for a, b, w in state["weights"]
             }

@@ -27,6 +27,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
+from repro.core.backend import BACKENDS, Backend, ShardedBackend, get_backend
+from repro.core.lid import solve_lid
 from repro.core.matching import Matching
 from repro.core.preferences import PreferenceSystem
 from repro.core.weights import WeightTable
@@ -125,99 +127,83 @@ class DifferentialReport:
 # ----------------------------------------------------------------------
 
 
-def _run_lic_reference(ps: PreferenceSystem, seed: int) -> PipelineRun:
-    from repro.core.backend import get_backend
+def _lic_pipeline(backend: str) -> Callable[[PreferenceSystem, int], PipelineRun]:
+    """LIC on ``backend``'s weights, selection and satisfaction stages."""
+    be = get_backend(backend)
 
-    be = get_backend("reference")
-    wt = be.build_weights(ps)
-    matching = be.lic(wt, ps.quotas)
-    profile = be.satisfaction_profile(ps, matching)
-    return PipelineRun(
-        "lic-reference", matching, float(profile.sum()),
-        profile=profile, weight_table=wt,
-    )
+    def run(ps: PreferenceSystem, seed: int) -> PipelineRun:
+        wt = be.build_weights(ps)
+        matching = be.lic(wt, ps.quotas)
+        profile = be.satisfaction_profile(ps, matching)
+        return PipelineRun(
+            f"lic-{be.name}", matching, float(profile.sum()),
+            profile=profile, weight_table=wt,
+        )
 
-
-def _run_lic_fast(ps: PreferenceSystem, seed: int) -> PipelineRun:
-    from repro.core.backend import get_backend
-
-    be = get_backend("fast")
-    wt = be.build_weights(ps)
-    matching = be.lic(wt, ps.quotas)
-    profile = be.satisfaction_profile(ps, matching)
-    return PipelineRun(
-        "lic-fast", matching, float(profile.sum()),
-        profile=profile, weight_table=wt,
-    )
+    return run
 
 
-def _run_lid_reference(ps: PreferenceSystem, seed: int) -> PipelineRun:
-    from repro.core.lid import run_lid
-    from repro.core.weights import satisfaction_weights
+def _lid_pipeline(
+    name: str, backend: Backend, k: Optional[int] = None, group: Optional[str] = None
+) -> Callable[[PreferenceSystem, int], PipelineRun]:
+    """LID through :func:`~repro.core.lid.solve_lid` on ``backend``.
 
-    wt = satisfaction_weights(ps)
-    res = run_lid(wt, ps.quotas, seed=seed)
-    return PipelineRun(
-        "lid-reference", res.matching,
-        res.matching.total_satisfaction(ps),
-        prop_messages=res.prop_messages, rej_messages=res.rej_messages,
-        weight_table=wt,
-    )
+    ``k`` is the round budget (``None`` runs to convergence); truncated
+    runs report the array truncation report's blocking-pair count.
+    """
 
+    def run(ps: PreferenceSystem, seed: int) -> PipelineRun:
+        res, wt = solve_lid(ps, seed=seed, backend=backend, max_rounds=k)
+        return PipelineRun(
+            name, res.matching,
+            res.matching.total_satisfaction(ps),
+            prop_messages=res.prop_messages, rej_messages=res.rej_messages,
+            weight_table=wt,
+            blocking_pairs=res.truncation.blocking_pairs,
+            diff_group=group,
+        )
 
-def _run_lid_fast(ps: PreferenceSystem, seed: int) -> PipelineRun:
-    from repro.core.fast import satisfaction_weights_fast
-    from repro.core.fast_lid import lid_matching_fast
-
-    wt = satisfaction_weights_fast(ps)
-    res = lid_matching_fast(wt, ps.quotas)
-    return PipelineRun(
-        "lid-fast", res.matching,
-        res.matching.total_satisfaction(ps),
-        prop_messages=res.prop_messages, rej_messages=res.rej_messages,
-        weight_table=wt,
-    )
+    return run
 
 
-def _run_lid_sharded(ps: PreferenceSystem, seed: int) -> PipelineRun:
-    # shards=4 exercises boundary reconciliation on every non-trivial
-    # instance; workers=0 keeps the pipeline deterministic and safe
-    # inside pool workers.  For k > 1 the wave schedule differs from
-    # the reference, so message counts are reported but NOT twinned
-    # (the matching must still be identical — Lemmas 3–6).
-    from repro.core.fast import satisfaction_weights_fast
-    from repro.core.sharded_lid import sharded_lid_matching
+def _resilient_pipeline(
+    name: str, k: Optional[int] = None, group: Optional[str] = None
+) -> Callable[[PreferenceSystem, int], PipelineRun]:
+    """Resilient LID (reliable channels, fault-free); no message twin.
 
-    wt = satisfaction_weights_fast(ps)
-    res = sharded_lid_matching(wt, ps.quotas, shards=4)
-    return PipelineRun(
-        "lid-sharded", res.matching,
-        res.matching.total_satisfaction(ps),
-        prop_messages=res.prop_messages, rej_messages=res.rej_messages,
-        weight_table=wt,
-    )
+    Truncated runs score their blocking pairs with the independent
+    :func:`~repro.baselines.verify.count_blocking_pairs`.
+    """
 
+    def run(ps: PreferenceSystem, seed: int) -> PipelineRun:
+        from repro.baselines.verify import count_blocking_pairs
+        from repro.core.resilient_lid import run_resilient_lid
+        from repro.core.weights import satisfaction_weights
 
-def _run_lid_resilient(ps: PreferenceSystem, seed: int) -> PipelineRun:
-    from repro.core.resilient_lid import run_resilient_lid
-    from repro.core.weights import satisfaction_weights
+        wt = satisfaction_weights(ps)
+        res = run_resilient_lid(wt, ps.quotas, seed=seed, max_rounds=k)
+        return PipelineRun(
+            name, res.matching,
+            res.matching.total_satisfaction(ps),
+            weight_table=wt,
+            blocking_pairs=None if k is None else count_blocking_pairs(ps, res.matching),
+            diff_group=group,
+        )
 
-    wt = satisfaction_weights(ps)
-    res = run_resilient_lid(wt, ps.quotas, seed=seed)
-    return PipelineRun(
-        "lid-resilient", res.matching,
-        res.matching.total_satisfaction(ps),
-        weight_table=wt,
-    )
+    return run
 
 
+# the sharded pipeline runs shards=4, which exercises boundary
+# reconciliation on every non-trivial instance; workers=0 keeps it
+# deterministic and safe inside pool workers.  For k > 1 shards the wave
+# schedule differs from the reference, so its message counts are
+# reported but NOT twinned (the matching must still be identical —
+# Lemmas 3–6).
 PIPELINES: dict[str, Callable[[PreferenceSystem, int], PipelineRun]] = {
-    "lic-reference": _run_lic_reference,
-    "lic-fast": _run_lic_fast,
-    "lid-reference": _run_lid_reference,
-    "lid-fast": _run_lid_fast,
-    "lid-sharded": _run_lid_sharded,
-    "lid-resilient": _run_lid_resilient,
+    "lic-reference": _lic_pipeline("reference"),
+    "lic-fast": _lic_pipeline("fast"),
+    **{f"lid-{name}": _lid_pipeline(f"lid-{name}", BACKENDS[name]) for name in BACKENDS},
+    "lid-resilient": _resilient_pipeline("lid-resilient"),
 }
 
 DEFAULT_PIPELINES = tuple(PIPELINES)
@@ -239,48 +225,18 @@ TRUNCATION_INF = 1 << 30
 TRUNCATION_KS: dict[str, int] = {"k1": 1, "k3": 3, "kinf": TRUNCATION_INF}
 
 
-def _make_truncated_pipeline(engine: str, label: str, k: int):
-    group = None if k == TRUNCATION_INF else f"trunc@{label}"
-    name = f"lid-truncated-{engine}@{label}"
-
-    def run(ps: PreferenceSystem, seed: int) -> PipelineRun:
-        if engine == "resilient":
-            from repro.baselines.verify import count_blocking_pairs
-            from repro.core.resilient_lid import run_resilient_lid
-            from repro.core.weights import satisfaction_weights
-
-            wt = satisfaction_weights(ps)
-            res = run_resilient_lid(wt, ps.quotas, seed=seed, max_rounds=k)
-            return PipelineRun(
-                name, res.matching,
-                res.matching.total_satisfaction(ps),
-                weight_table=wt,
-                blocking_pairs=count_blocking_pairs(ps, res.matching),
-                diff_group=group,
-            )
-        from repro.core.lid import solve_lid
-
-        kwargs = {"shards": 3} if engine == "sharded" else {}
-        res, wt = solve_lid(ps, seed=seed, backend=engine, max_rounds=k, **kwargs)
-        return PipelineRun(
-            name, res.matching,
-            res.matching.total_satisfaction(ps),
-            prop_messages=res.prop_messages, rej_messages=res.rej_messages,
-            weight_table=wt,
-            blocking_pairs=res.truncation.blocking_pairs,
-            diff_group=group,
-        )
-
-    return run
-
-
 # the reference engine registers first within each k so it becomes the
-# group's diff reference (groups diff against their first-inserted run)
+# group's diff reference (groups diff against their first-inserted run);
+# the truncated sharded pipelines run a different shard count (3) than
+# the default one
+_TRUNCATED_BACKENDS = (BACKENDS["reference"], BACKENDS["fast"], ShardedBackend(shards=3))
 for _label, _k in TRUNCATION_KS.items():
-    for _engine in ("reference", "fast", "sharded", "resilient"):
-        PIPELINES[f"lid-truncated-{_engine}@{_label}"] = _make_truncated_pipeline(
-            _engine, _label, _k
-        )
+    _group = None if _k == TRUNCATION_INF else f"trunc@{_label}"
+    for _be in _TRUNCATED_BACKENDS:
+        _name = f"lid-truncated-{_be.name}@{_label}"
+        PIPELINES[_name] = _lid_pipeline(_name, _be, _k, _group)
+    _name = f"lid-truncated-resilient@{_label}"
+    PIPELINES[_name] = _resilient_pipeline(_name, _k, _group)
 
 #: every registered truncated pipeline name (not part of the defaults)
 TRUNCATED_PIPELINES = tuple(n for n in PIPELINES if n.startswith("lid-truncated-"))

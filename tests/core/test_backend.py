@@ -42,15 +42,24 @@ class TestSolveEquivalence:
     @pytest.mark.parametrize("seed", range(3))
     def test_backends_agree(self, seed):
         ps = random_ps(50, 0.15, 3, seed=seed, ensure_edges=True)
-        ref = get_backend("reference").solve(ps)
-        fast = get_backend("fast").solve(ps)
+        ref, wt_ref = get_backend("reference").solve(ps)
+        fast, wt_fast = get_backend("fast").solve(ps)
         assert ref.edge_set() == fast.edge_set()
+        assert dict(wt_fast.items()) == dict(wt_ref.items())
 
     def test_solve_modified_bmatching_backend_kwarg(self):
         ps = random_ps(40, 0.2, 2, seed=5, ensure_edges=True)
         ref, _ = solve_modified_bmatching(ps)
         fast, _ = solve_modified_bmatching(ps, backend="fast")
         assert ref.edge_set() == fast.edge_set()
+
+    @pytest.mark.parametrize("backend", ["sharded", " FAST "])
+    def test_solve_modified_bmatching_accepts_every_backend_name(self, backend):
+        ps = random_ps(40, 0.2, 2, seed=5, ensure_edges=True)
+        ref, wt_ref = solve_modified_bmatching(ps)
+        got, wt = solve_modified_bmatching(ps, backend=backend)
+        assert got.edge_set() == ref.edge_set()
+        assert dict(wt.items()) == dict(wt_ref.items())
 
     def test_solve_modified_bmatching_rejects_unknown(self):
         ps = random_ps(10, 0.3, 1, seed=0, ensure_edges=True)

@@ -20,7 +20,7 @@ import warnings
 import numpy as np
 import pytest
 
-from repro.core.backend import get_backend
+from repro.core.backend import ShardedBackend, get_backend
 from repro.core.fast import FastInstance
 from repro.core.fast_lid import _directed_layout
 from repro.core.lid import run_lid, solve_lid
@@ -299,16 +299,9 @@ class TestBackendWiring:
     def test_solve_lid_sharded(self):
         ps = random_ps(30, 0.2, 3, seed=3, ensure_edges=True)
         fast, _ = solve_lid(ps, backend="fast")
-        sharded, _ = solve_lid(ps, backend="sharded", shards=2)
+        sharded, _ = solve_lid(ps, backend=ShardedBackend(shards=2))
+        assert sharded.shards == 2
         assert sharded.matching.edge_set() == fast.matching.edge_set()
-
-    def test_solve_lid_rejects_shard_kwargs_on_other_backends(self):
-        ps = random_ps(10, 0.3, 2, seed=0, ensure_edges=True)
-        for kwargs in ({"shards": 2}, {"jit": True}, {"shard_workers": 2}):
-            with pytest.raises(ValueError, match="backend='sharded'"):
-                solve_lid(ps, backend="fast", **kwargs)
-            with pytest.raises(ValueError, match="backend='sharded'"):
-                solve_lid(ps, backend="reference", **kwargs)
 
     def test_solve_lid_sharded_rejects_faults(self):
         ps = random_ps(10, 0.3, 2, seed=0, ensure_edges=True)

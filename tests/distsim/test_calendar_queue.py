@@ -87,7 +87,7 @@ class TestExactReplay:
         for queue in ("heap", "calendar"):
             # run_lid builds its own Simulator; drive the scheduler
             # directly to control the queue discipline
-            from repro.core.lid import LidNode, _extract_matching
+            from repro.core.lid import LidNode, converged_matching
 
             nodes = [
                 LidNode(wt.weight_list(i), ps.quota(i)) for i in range(wt.n)
@@ -95,7 +95,7 @@ class TestExactReplay:
             sim = Simulator(Network(wt.n), nodes, queue=queue)
             metrics = sim.run()
             results[queue] = (
-                _extract_matching(nodes).edge_set(),
+                converged_matching(nodes).edge_set(),
                 metrics.sent_by_kind,
                 metrics.sent_by_node,
                 metrics.events,

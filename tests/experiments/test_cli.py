@@ -85,6 +85,15 @@ class TestBackendFlag:
         out = capsys.readouterr().out
         assert "weight cache" in out and "% reuse" in out
 
+    def test_churn_sharded_backend_reports_cache(self, capsys):
+        """--backend sharded runs the cached churn path, same output as fast."""
+        argv = ["churn", "--n", "25", "--events", "6", "--backend"]
+        assert main(argv + ["sharded"]) == 0
+        sharded_out = capsys.readouterr().out
+        assert "weight cache" in sharded_out and "% reuse" in sharded_out
+        assert main(argv + ["fast"]) == 0
+        assert capsys.readouterr().out == sharded_out
+
     def test_churn_reference_backend_no_cache_line(self, capsys):
         assert main(["churn", "--n", "25", "--events", "6"]) == 0
         assert "weight cache" not in capsys.readouterr().out

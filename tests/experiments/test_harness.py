@@ -164,7 +164,7 @@ def _lic_job(n, seed=0, backend="reference"):
     from repro.experiments.instances import random_preference_instance
 
     ps = random_preference_instance(n, 0.3, 2, seed=seed)
-    m = get_backend(backend).solve(ps)
+    m, _ = get_backend(backend).solve(ps)
     return {"edges": m.size()}
 
 

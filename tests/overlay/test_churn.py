@@ -183,6 +183,22 @@ class TestFastBackend:
         assert stats.weights_reused > 0  # most edges untouched by one leave
         assert stats.weights_reused + stats.weights_recomputed == dyn.instance()[0].m
 
+    def test_sharded_backend_caches_weights_like_fast(self):
+        """backend="sharded" is the fast churn path, not the reference one."""
+        fast = _dyn(n=30, seed=5, backend="fast")
+        sharded = _dyn(n=30, seed=5, backend="sharded")
+        assert sharded._wcache is not None
+        rng = np.random.default_rng(17)
+        for _ in range(6):
+            victim = int(rng.choice(fast.active_ids()))
+            want, got = fast.leave(victim), sharded.leave(victim)
+            assert got.weights_reused > 0
+            assert (got.weights_reused, got.weights_recomputed) == (
+                want.weights_reused, want.weights_recomputed,
+            )
+            for pid in fast.active_ids():
+                assert sharded.partners(pid) == fast.partners(pid)
+
     def test_reference_backend_reports_no_reuse(self):
         dyn = _dyn(n=20, seed=5)
         stats = dyn.leave(dyn.active_ids()[0])

@@ -183,6 +183,31 @@ class TestSnapshotRestore:
         assert clone.counters == svc.counters
         assert clone.mode == svc.mode
 
+    def test_weightless_sharded_snapshot_restores_cold(self):
+        """A sharded snapshot without weights restores with an empty
+        cache; its first refresh bulk-fills and serving carries on."""
+        config = _small(events=20, backend="sharded")
+        trace = config.trace().events
+        svc = build_service(config)
+        assert svc._wcache is not None
+        for event in trace[:10]:
+            svc.apply(event)
+        state = json.loads(json.dumps(svc.snapshot()))
+        state["weights"] = None  # older sharded services kept no cache
+        clone = MatchingService.restore(state, config.metric())
+        assert clone._wcache is not None and len(clone._wcache) == 0
+        refreshes = []
+        for event in trace[10:]:
+            svc.apply(event)
+            stats = clone.apply(event).stats
+            if stats is not None:
+                refreshes.append((stats.weights_reused, stats.weights_recomputed))
+        assert refreshes[0][0] == 0 and refreshes[0][1] > 0  # the cold bulk fill
+        assert any(reused > 0 for reused, _ in refreshes[1:])
+        assert _matching_sha(clone) == _matching_sha(svc)
+        assert clone.snapshot()["weights"] == svc.snapshot()["weights"]
+        assert clone.mode == svc.mode == "incremental"
+
     def test_restore_rejects_unknown_mode(self):
         svc = build_service(_small(events=0))
         state = svc.snapshot()
