@@ -175,6 +175,10 @@ class WeightTable:
         """Whether the table contains edge ``(i, j)``."""
         return _canon(i, j) in self._w
 
+    def has_node(self, i: int) -> bool:
+        """Whether ``i`` is a node id of the table (``0 <= i < n``)."""
+        return 0 <= i < self._n
+
     def edges(self) -> Iterable[Edge]:
         """All canonical edges (unordered)."""
         return self._w.keys()

@@ -62,11 +62,21 @@ __all__ = ["main", "build_parser"]
 
 
 def _cmd_scenario(args) -> int:
-    sc = build_scenario(args.name, args.n, seed=args.seed)
     backend = get_backend(args.backend)
+    shard_flags = {"--shards": args.shards, "--shard-workers": args.shard_workers,
+                   "--jit": args.jit}
     if isinstance(backend, ShardedBackend):
-        backend = ShardedBackend(shards=args.shards, workers=args.shard_workers,
-                                 jit=True if args.jit else None)
+        backend = ShardedBackend(
+            shards=4 if args.shards is None else args.shards,
+            workers=args.shard_workers or 0,
+            jit=args.jit,
+        )
+    else:
+        given = [flag for flag, value in shard_flags.items() if value is not None]
+        if given:
+            args.error(f"shard options {', '.join(given)} are only valid"
+                       " with --backend sharded")
+    sc = build_scenario(args.name, args.n, seed=args.seed)
     result, _ = solve_lid(sc.ps, backend=backend, max_rounds=args.max_rounds)
     m = result.matching
     v = m.satisfaction_vector(sc.ps)
@@ -614,12 +624,12 @@ def build_parser() -> argparse.ArgumentParser:
                    help="LID execution path: event-by-event simulator, the"
                         " round-batched fast engine, or the partitioned"
                         " sharded engine (identical matchings)")
-    p.add_argument("--shards", type=int, default=4,
-                   help="partition width for --backend sharded")
-    p.add_argument("--shard-workers", type=int, default=0,
+    p.add_argument("--shards", type=int, default=None,
+                   help="partition width for --backend sharded (default 4)")
+    p.add_argument("--shard-workers", type=int, default=None,
                    help="multiprocessing workers for --backend sharded"
-                        " (0 = serial in-process)")
-    p.add_argument("--jit", action="store_true",
+                        " (default 0 = serial in-process)")
+    p.add_argument("--jit", action="store_true", default=None,
                    help="request the numba-compiled shard kernel (graceful"
                         " fallback with a warning when numba is absent)")
     p.add_argument("--max-rounds", type=int, default=None, metavar="K",
@@ -627,7 +637,7 @@ def build_parser() -> argparse.ArgumentParser:
                         " serve the feasible almost-stable partial matching"
                         " (identical across backends; default: run to"
                         " convergence)")
-    p.set_defaults(fn=_cmd_scenario)
+    p.set_defaults(fn=_cmd_scenario, error=p.error)
 
     p = sub.add_parser("compare", help="compare algorithms on a scenario")
     p.add_argument("name", choices=sorted(SCENARIOS))

@@ -27,15 +27,15 @@ compares against the from-scratch re-run (the results are verified
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heappop, heappush
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
 from repro.core.backend import Backend, get_backend
-from repro.core.fast import FastInstance
 from repro.core.matching import Matching
 from repro.core.preferences import PreferenceSystem
-from repro.core.satisfaction import delta_static
+from repro.core.satisfaction import static_increase
 from repro.core.weights import WeightTable
 from repro.overlay.builder import (
     RankedRow,
@@ -46,7 +46,11 @@ from repro.overlay.builder import (
 from repro.overlay.metrics import MetricAssignment, SuitabilityMetric
 from repro.overlay.peer import Peer
 from repro.overlay.topology import Topology
-from repro.utils.validation import InvalidInstanceError, ProtocolError
+from repro.utils.validation import (
+    InvalidInstanceError,
+    InvalidMatchingError,
+    ProtocolError,
+)
 
 __all__ = ["RepairStats", "DynamicOverlay", "WeightCache", "greedy_repair"]
 
@@ -63,7 +67,9 @@ class RepairStats:
     dirty_nodes:
         Number of distinct nodes the repair wave touched.
     edges_scanned:
-        Total candidate-edge examinations — the work measure compared
+        Candidate-edge examinations the repair actually made: every
+        edge at a dirty node once, then the edges at the (at most four)
+        nodes each resolution changes — the work measure compared
         against a full re-run's ``m log m`` scan in bench A3.
     weights_reused:
         Eq.-9 edge weights taken from the :class:`WeightCache` instead
@@ -96,17 +102,19 @@ class WeightCache:
     A churn event only changes the preference lists (hence list lengths,
     ranks and clamped quotas) of the joining/leaving peer and its
     overlay neighbours; every other edge keeps its exact eq.-9 weight.
-    The cache exploits this: :meth:`refresh` rebuilds the weight dict
-    for the current edge set (pruning edges of departed peers as a side
-    effect) but only *recomputes* weights incident to the declared
-    weight-dirty peers, copying everything else from the previous event.
+    The cache exploits this: :meth:`refresh` recomputes only the edges
+    at the declared weight-dirty peers, reading rank, list length and
+    clamped quota off the overlay's ranked rows, and :meth:`drop`
+    deletes a leaver's entries when it leaves.  A refresh therefore
+    costs O(weight-dirty peers × degree), not O(edges).
 
-    Keys are stable external peer ids, so entries survive the
-    compaction remap that follows every churn event.  Recomputed values
-    use the same scalar arithmetic as the reference
-    (:func:`repro.core.satisfaction.delta_static`), and the bulk fill
-    uses :class:`repro.core.fast.FastInstance` — both bit-identical, so
-    a cached table is indistinguishable from a fresh
+    Keys are canonical ``(min id, max id)`` pairs of stable external
+    peer ids.  Recomputed values use the same scalar arithmetic as the
+    reference (:func:`repro.core.satisfaction.static_increase`, lower
+    id's term first, as :func:`~repro.core.weights.satisfaction_weights`
+    adds them), and the bulk fill (:meth:`seed`) takes a backend's
+    compact table — both bit-identical, so a cached table is
+    indistinguishable from a fresh
     :func:`~repro.core.weights.satisfaction_weights` build.
     """
 
@@ -119,66 +127,213 @@ class WeightCache:
         return len(self._w)
 
     def clear(self) -> None:
-        """Drop all cached weights (next refresh bulk-fills)."""
+        """Drop all cached weights (the next event bulk-fills)."""
         self._w.clear()
 
     def seed(self, wt: WeightTable, ids: list[int]) -> None:
-        """Warm the cache from an already-built compact weight table."""
-        self._w = {(ids[a], ids[b]): w for (a, b), w in wt.items()}
+        """Fill the cache from a compact weight table (``ids``: compact → external)."""
+        self._w = _external_weights(wt, ids)
+
+    def drop(self, peer_id: int, neighbours: Iterable[int]) -> None:
+        """Delete the entries of ``peer_id``'s edges (it is leaving)."""
+        w = self._w
+        for q in neighbours:
+            w.pop((peer_id, q) if peer_id < q else (q, peer_id), None)
 
     def refresh(
         self,
-        ps: PreferenceSystem,
-        ids: list[int],
+        rows: "dict[int, RankedRow]",
+        peers: dict[int, Peer],
         weight_dirty: "set[int] | frozenset[int]",
-    ) -> tuple[WeightTable, int, int]:
-        """Weight table for the compact instance; returns ``(wt, reused, recomputed)``.
+    ) -> tuple[dict[tuple[int, int], float], int, int]:
+        """Recompute the edges at weight-dirty peers.
+
+        Returns ``(weights, reused, recomputed)``.
 
         ``weight_dirty`` holds the external ids whose preference lists
-        may have changed since the previous refresh; every edge touching
-        one of them is recomputed, the rest are copied forward.
+        may have changed since the previous refresh (departed ones are
+        skipped); every edge touching a live one is recomputed from
+        ``rows`` and ``peers``' quotas.  ``reused`` counts the live
+        edges kept as they were.
         """
-        if not self._w:
-            # cold start: vectorised bulk fill, everything "recomputed"
-            fi = FastInstance.from_preference_system(ps)
-            i_list, j_list, w_list = fi.i.tolist(), fi.j.tolist(), fi.w.tolist()
-            self._w = {
-                (ids[a], ids[b]): w for a, b, w in zip(i_list, j_list, w_list)
-            }
-            compact = dict(zip(zip(i_list, j_list), w_list))
-            return WeightTable.from_trusted(compact, ps.n), 0, len(compact)
-        new: dict[tuple[int, int], float] = {}
-        compact: dict[tuple[int, int], float] = {}
-        cached = self._w
-        reused = recomputed = 0
-        for a, b in ps.edges():
-            pa, pb = ids[a], ids[b]  # ids is sorted, so pa < pb
-            w = cached.get((pa, pb))
-            if w is None or pa in weight_dirty or pb in weight_dirty:
-                w = delta_static(ps, a, b) + delta_static(ps, b, a)
+        w = self._w
+        live = {p for p in weight_dirty if p in rows}
+        recomputed = 0
+        for p in live:
+            ids = rows[p].ids
+            ell = len(ids)
+            b = min(peers[p].quota, ell)
+            for rank, q in enumerate(ids):
+                if q < p and q in live:
+                    continue  # recomputed from q's side
+                other = rows[q].ids
+                ell_q = len(other)
+                d_p = static_increase(rank, ell, b)
+                d_q = static_increase(other.index(p), ell_q, min(peers[q].quota, ell_q))
+                if p < q:
+                    w[(p, q)] = d_p + d_q
+                else:
+                    w[(q, p)] = d_q + d_p
                 recomputed += 1
-            else:
-                reused += 1
-            new[(pa, pb)] = w
-            compact[(a, b)] = w
-        self._w = new
-        return WeightTable.from_trusted(compact, ps.n), reused, recomputed
+        return w, len(w) - recomputed, recomputed
+
+
+def _external_weights(wt: WeightTable, ids: list[int]) -> dict[tuple[int, int], float]:
+    """A compact table's weights keyed by external ids (``ids`` is sorted)."""
+    return {(ids[a], ids[b]): w for (a, b), w in wt.items()}
+
+
+class _OverlayWeights:
+    """An overlay's eq.-9 weight graph in external ids, for :func:`greedy_repair`.
+
+    Neighbours are the overlay's adjacency sets and keys come from the
+    external-id weight dict, so a repair reads the live state directly:
+    no compaction, no adjacency rebuild.  Compaction is monotone (it
+    sorts the ids), so the key ``(w, min id, max id)`` orders edges
+    exactly as the compact :class:`~repro.core.weights.WeightTable`
+    would.
+    """
+
+    __slots__ = ("_adj", "_w")
+
+    def __init__(self, adj: dict[int, set[int]], weights: dict[tuple[int, int], float]):
+        self._adj = adj
+        self._w = weights
+
+    @property
+    def n(self) -> int:
+        return len(self._adj)
+
+    def has_node(self, v: int) -> bool:
+        return v in self._adj
+
+    def neighbors(self, v: int) -> set[int]:
+        return self._adj[v]
+
+    def key(self, i: int, j: int) -> tuple[float, int, int]:
+        a, b = (i, j) if i < j else (j, i)
+        return (self._w[(a, b)], a, b)
+
+    def has_edge(self, i: int, j: int) -> bool:
+        return ((i, j) if i < j else (j, i)) in self._w
+
+
+class _ClampedQuotas:
+    """Peers' eq.-9 quotas ``min(b_i, ℓ_i)``, read on demand.
+
+    The compact instance clamps quotas to the list length the same way.
+    """
+
+    __slots__ = ("_peers", "_adj")
+
+    def __init__(self, peers: dict[int, Peer], adj: dict[int, set[int]]):
+        self._peers = peers
+        self._adj = adj
+
+    def __len__(self) -> int:
+        return len(self._peers)
+
+    def __getitem__(self, v: int) -> int:
+        return min(self._peers[v].quota, len(self._adj[v]))
+
+
+class _PartnerView:
+    """An overlay's partner sets as :func:`greedy_repair`'s matching, edited in place.
+
+    ``changed`` collects every peer whose partners the repair changed,
+    so the caller re-checks exactly those.  :meth:`edges` lists the
+    partnerships at the ``scope`` peers (the repair's seed region):
+    a leave drops the leaver's partnerships itself and no other event
+    removes an overlay edge, so that is the only place a stale one
+    could sit.
+    """
+
+    __slots__ = ("_p", "_scope", "changed")
+
+    def __init__(self, partners: dict[int, set[int]], scope: Iterable[int]):
+        self._p = partners
+        self._scope = scope
+        self.changed: set[int] = set()
+
+    @property
+    def n(self) -> int:
+        return len(self._p)
+
+    def edges(self) -> list[tuple[int, int]]:
+        p = self._p
+        return sorted(
+            {(a, b) if a < b else (b, a) for a in self._scope if a in p for b in p[a]}
+        )
+
+    def has_edge(self, i: int, j: int) -> bool:
+        return j in self._p[i]
+
+    def degree(self, i: int) -> int:
+        return len(self._p[i])
+
+    def connections(self, i: int) -> set[int]:
+        return self._p[i]
+
+    def add(self, i: int, j: int) -> None:
+        self._p[i].add(j)
+        self._p[j].add(i)
+        self.changed.update((i, j))
+
+    def remove(self, i: int, j: int) -> None:
+        self._p[i].remove(j)
+        self._p[j].remove(i)
+        self.changed.update((i, j))
+
+
+# floors that every key beats / that no key beats (keys are (w, a, b), w finite)
+_WANTS_ANY = (float("-inf"),)
+_WANTS_NONE = (float("inf"),)
+
+
+def _check_compact(wt: WeightTable, quotas: Sequence[int], matching: Matching) -> None:
+    """Eager structural checks of compact :func:`greedy_repair` inputs."""
+    n = wt.n
+    if len(quotas) != n:
+        raise InvalidInstanceError(
+            f"quotas sized for {len(quotas)} nodes but weight table has {n}"
+        )
+    if matching.n != n:
+        raise InvalidInstanceError(
+            f"matching sized for {matching.n} nodes but weight table has {n}"
+        )
+    if any(q < 0 for q in quotas):
+        raise InvalidInstanceError(f"negative quota in {quotas!r}")
 
 
 def greedy_repair(
-    wt: WeightTable,
-    quotas: "list[int] | Sequence[int]",
-    matching: Matching,
+    wt: "WeightTable | _OverlayWeights",
+    quotas: "Sequence[int] | _ClampedQuotas",
+    matching: "Matching | _PartnerView",
     dirty: "set[int] | Iterable[int]",
     max_steps: int = 1_000_000,
     budget: Optional[int] = None,
 ) -> RepairStats:
     """Restore the no-weighted-blocking-edge fixpoint from a local change.
 
-    Repeatedly finds the heaviest blocking edge incident to the dirty
-    region, adds it (endpoints over quota drop their lightest partner,
-    which joins the dirty region) until no blocking edge remains.
-    Mutates ``matching`` in place.
+    Repeatedly takes the heaviest blocking edge incident to the dirty
+    region and adds it (endpoints over quota drop their lightest
+    partner, which joins the dirty region) until no blocking edge
+    remains.  Mutates ``matching`` in place.
+
+    The inputs are either compact — a
+    :class:`~repro.core.weights.WeightTable`, per-node quotas and a
+    :class:`~repro.core.matching.Matching` over ``0..n-1`` — or a
+    :class:`DynamicOverlay`'s own external-id state (the private views
+    this module builds over its adjacency, weight dict, clamped quotas
+    and partner sets).
+
+    Candidates live in a lazy max-heap keyed by :meth:`WeightTable.key`:
+    every dirty node is scanned once, and after each resolution only the
+    nodes whose partners changed (the two endpoints and the partners
+    they dropped) are rescanned — an edge's blocking status depends on
+    its endpoints' partner sets alone.  A popped entry is re-validated,
+    so the edge taken at each step is exactly the heaviest blocking edge
+    at the dirty region.
 
     Correctness: every edge whose blocking status may have changed is
     incident to a dirty node — initial dirtiness covers all nodes whose
@@ -190,9 +345,10 @@ def greedy_repair(
 
     Robustness (the contract the long-lived service relies on):
 
-    - Structural input mismatches — ``quotas`` or ``matching`` sized for
-      a different instance than ``wt``, or a negative quota — raise
-      :class:`~repro.utils.validation.InvalidInstanceError` eagerly.
+    - Structural input mismatches — compact ``quotas`` or ``matching``
+      sized for a different instance than ``wt``, or a negative quota —
+      raise :class:`~repro.utils.validation.InvalidInstanceError`
+      eagerly.
     - Churn races are *absorbed*, not raised: dirty ids outside the
       instance (departed peers) are dropped, and matched edges whose
       weight no longer exists (a partner left while still listed, or an
@@ -206,23 +362,14 @@ def greedy_repair(
       instead of raising — the almost-stable degraded mode of
       Floréen et al. that the service trades against a full re-solve.
     """
-    n = wt.n
-    if len(quotas) != n:
-        raise InvalidInstanceError(
-            f"quotas sized for {len(quotas)} nodes but weight table has {n}"
-        )
-    if matching.n != n:
-        raise InvalidInstanceError(
-            f"matching sized for {matching.n} nodes but weight table has {n}"
-        )
-    if any(q < 0 for q in quotas):
-        raise InvalidInstanceError(f"negative quota in {quotas!r}")
+    if isinstance(wt, WeightTable):
+        _check_compact(wt, quotas, matching)
     if budget is not None and budget < 0:
         raise InvalidInstanceError(f"repair budget must be >= 0, got {budget}")
 
     stats = RepairStats()
-    dirty = {v for v in dirty if 0 <= v < n}
-    if n == 0:
+    dirty = {v for v in dirty if wt.has_node(v)}
+    if wt.n == 0:
         return stats
 
     # scrub stale matched edges (endpoint departed / edge withdrawn):
@@ -235,9 +382,11 @@ def greedy_repair(
             dirty.update((a, b))
 
     # weakest[v]: (key, partner) of v's lightest held edge, or None when
-    # v holds no partner; computed on demand, dropped whenever v's
-    # partners change, so `wants` is O(1) instead of a partner scan
+    # v holds no partner; floors[v]: the key an edge must beat for v to
+    # want it.  Both are computed on demand and dropped whenever v's
+    # partners change, so `wants` is one key comparison
     weakest: dict[int, Optional[tuple]] = {}
+    floors: dict[int, tuple] = {}
 
     def lightest(v: int) -> Optional[tuple]:
         if v not in weakest:
@@ -246,48 +395,63 @@ def greedy_repair(
             )
         return weakest[v]
 
-    def wants(v: int, u: int) -> bool:
-        if matching.degree(v) < quotas[v]:
-            return True
-        held = lightest(v)
-        return held is not None and held[0] < wt.key(v, u)
+    def floor(v: int) -> tuple:
+        f = floors.get(v)
+        if f is None:
+            if matching.degree(v) < quotas[v]:
+                f = _WANTS_ANY  # room left: every edge is welcome
+            else:
+                held = lightest(v)
+                f = _WANTS_NONE if held is None else held[0]
+            floors[v] = f
+        return f
 
+    # max-heap of blocking candidates as negated keys (-w, -a, -b)
+    heap: list[tuple[float, int, int]] = []
+
+    key = wt.key
+
+    def scan(v: int) -> None:
+        neighbours = wt.neighbors(v)
+        stats.edges_scanned += len(neighbours)
+        fv = floor(v)
+        for u in neighbours:
+            k = key(v, u)
+            if k > fv and k > floor(u) and not matching.has_edge(v, u):
+                heappush(heap, (-k[0], -k[1], -k[2]))
+
+    for v in dirty:
+        scan(v)
     steps = 0
-    while True:
-        best: Optional[tuple] = None
-        best_edge: Optional[tuple[int, int]] = None
-        for v in dirty:
-            for u in wt.neighbors(v):
-                stats.edges_scanned += 1
-                if matching.has_edge(v, u):
-                    continue
-                if wants(v, u) and wants(u, v):
-                    k = wt.key(v, u)
-                    if best is None or k > best:
-                        best = k
-                        best_edge = (v, u)
-        if best_edge is None:
-            break
+    while heap:
+        w, i, j = heap[0]
+        k, i, j = (-w, -i, -j), -i, -j
+        if matching.has_edge(i, j) or not (k > floor(i) and k > floor(j)):
+            heappop(heap)  # no longer blocking
+            continue
         if budget is not None and stats.resolutions >= budget:
             # a blocking edge remains but the budget is spent: stop with
             # a feasible almost-stable matching instead of raising
             stats.truncated = True
             break
-        i, j = best_edge
+        heappop(heap)
+        touched = [i, j]
         for v in (i, j):
             if matching.degree(v) >= quotas[v]:
                 worst = lightest(v)[1]
                 matching.remove(v, worst)
-                dirty.add(worst)
-                weakest.pop(worst, None)
+                touched.append(worst)
         matching.add(i, j)
-        weakest.pop(i, None)
-        weakest.pop(j, None)
-        dirty.update((i, j))
+        for v in touched:
+            weakest.pop(v, None)
+            floors.pop(v, None)
+        dirty.update(touched)
         stats.resolutions += 1
         steps += 1
         if steps > max_steps:  # pragma: no cover - safety valve
             raise ProtocolError("repair did not converge; potential argument violated?")
+        for v in dict.fromkeys(touched):
+            scan(v)
     stats.dirty_nodes = len(dirty)
     return stats
 
@@ -295,9 +459,15 @@ def greedy_repair(
 class DynamicOverlay:
     """A churning overlay with an incrementally maintained greedy matching.
 
-    Peers keep stable external ids; internally every operation works on
-    the compacted id space of currently active peers.  The invariant
-    after construction and after every churn event is::
+    Peers keep stable external ids, and every piece of per-peer state —
+    adjacency, ranked rows, partner sets, the :class:`WeightCache` keys
+    — is a dict keyed by them.  A churn event's repair runs on that
+    state directly (:func:`greedy_repair` over external-id views), so it
+    touches only the dirty region and its one-hop neighbourhood; only
+    whole-instance consumers (a full re-solve, :meth:`instance`, the
+    differential check, the cold fill of an empty cache) compact the
+    live peers into ids ``0..n-1``.  The invariant after construction
+    and after every churn event is::
 
         self.matching == LIC(current instance)   # checked in tests
 
@@ -307,8 +477,9 @@ class DynamicOverlay:
     :func:`~repro.overlay.builder.build_preference_system` sorts by).
     Each event patches only the rows it touches — a leave deletes one
     key per neighbour (no metric call), a join or a move re-scores the
-    peer's own row and one key per neighbour — and the compact instance
-    is read off the rows, so no event re-scores the whole overlay.
+    peer's own row and one key per neighbour — and ranks, list lengths
+    and the compact instance are read off the rows, so no event
+    re-scores the whole overlay.
 
     Purity contract: the metric is a pure function of the two peers'
     attributes, and a peer's attributes change only through this
@@ -323,9 +494,10 @@ class DynamicOverlay:
     backend:
         A name (or :class:`~repro.core.backend.Backend`) for
         :func:`~repro.core.backend.get_backend`.  ``"reference"``
-        (default) rebuilds the eq.-9 weight table from scratch on every
-        event; ``"fast"`` and ``"sharded"`` keep a :class:`WeightCache`
-        (only dirty edges are rescaled per event) and run the
+        (default) rebuilds the eq.-9 weight table from scratch (through
+        the compact instance) on every event; ``"fast"`` and
+        ``"sharded"`` keep a :class:`WeightCache` (only dirty edges are
+        rescaled per event) and run the
         array-backed :func:`~repro.core.fast.lic_matching_fast` for full
         rematches.  Matchings are identical either way — only the cost
         differs (see ``docs/performance.md``).
@@ -419,27 +591,30 @@ class DynamicOverlay:
         )
         return ps, ids, index
 
-    def _weights(
-        self, ps: PreferenceSystem, ids: list[int]
-    ) -> tuple[WeightTable, int, int]:
-        """Eq.-9 weights for the compact instance; ``(wt, reused, recomputed)``.
+    def _weights(self) -> tuple[dict[tuple[int, int], float], int, int]:
+        """Current eq.-9 weights keyed by external ids.
+
+        Returns ``(weights, reused, recomputed)``.
 
         A backend that caches weights serves them from the
-        :class:`WeightCache`, rescaling only edges incident to peers
-        dirtied since the last refresh; the reference backend rebuilds
-        from scratch.
+        :class:`WeightCache`, recomputing only edges at peers dirtied
+        since the last refresh; an empty cache is bulk-filled from the
+        compact instance, which the reference backend rebuilds from on
+        every event.
         """
-        if self._wcache is None:
-            self._weight_dirty.clear()
-            return get_backend(self.backend).build_weights(ps), 0, 0
-        out = self._wcache.refresh(ps, ids, self._weight_dirty)
+        cache = self._wcache
+        if cache is not None and len(cache):
+            out = cache.refresh(self._rows, self._peers, self._weight_dirty)
+        else:
+            ps, ids, _ = self._compact_instance()
+            wt = get_backend(self.backend).build_weights(ps)
+            if cache is None:
+                out = _external_weights(wt, ids), 0, 0
+            else:
+                cache.seed(wt, ids)
+                out = cache._w, 0, len(cache)
         self._weight_dirty.clear()
         return out
-
-    def _compact(self) -> tuple[PreferenceSystem, WeightTable, list[int], dict[int, int]]:
-        ps, ids, index = self._compact_instance()
-        wt, _, _ = self._weights(ps, ids)
-        return ps, wt, ids, index
 
     def _matching_compact(self, index: dict[int, int]) -> Matching:
         m = Matching(len(index))
@@ -468,7 +643,7 @@ class DynamicOverlay:
 
     def instance(self) -> tuple[PreferenceSystem, Matching]:
         """Compact snapshot ``(instance, matching)`` for analysis."""
-        ps, _, ids, index = self._compact()
+        ps, _, index = self._compact_instance()
         return ps, self._matching_compact(index)
 
     def total_satisfaction(self) -> float:
@@ -506,6 +681,8 @@ class DynamicOverlay:
         del self._adj[peer_id]
         for q in self._partners.pop(peer_id, set()):
             self._partners[q].discard(peer_id)
+        if self._wcache is not None:
+            self._wcache.drop(peer_id, neighbours)
         # the neighbours' preference lists shrank: their eq.-9 weights are
         # stale even if this event is repaired later (repair=False)
         self._weight_dirty |= neighbours
@@ -574,24 +751,60 @@ class DynamicOverlay:
             return RepairStats()
         return self._repair(dirty_external=dirty)
 
-    def _repair(self, dirty_external: set[int]) -> RepairStats:
-        # A churn event changes the preference-list lengths of the nodes
-        # in `dirty_external`, which rescales *all* their eq.-9 edge
-        # weights.  An edge (y, z) can change blocking status whenever y
-        # or z has a (possibly matched) edge whose weight changed, so
-        # the seed must include one hop of neighbours around the changed
-        # nodes; the repair wave extends it further as it drops partners.
-        expanded = set(dirty_external)
+    def _repair_inputs(self, dirty_external: Iterable[int]) -> tuple:
+        """:func:`greedy_repair`'s external-id inputs for one event.
+
+        Returns ``(wt, quotas, partners, dirty, reused, recomputed)``.
+        A churn event changes the preference-list lengths of the peers
+        in ``dirty_external``, which rescales *all* their eq.-9 edge
+        weights.  An edge (y, z) can change blocking status whenever y
+        or z has a (possibly matched) edge whose weight changed, so the
+        seed includes one hop of neighbours around the changed peers;
+        the repair wave extends it further as it drops partners.
+        """
+        dirty = set(dirty_external)
         for pid in dirty_external:
-            expanded.update(self._adj.get(pid, ()))
-        ps, ids, index = self._compact_instance()
-        wt, reused, recomputed = self._weights(ps, ids)
-        dirty_external = expanded
-        matching = self._matching_compact(index)
-        dirty = {index[pid] for pid in dirty_external if pid in index}
-        stats = greedy_repair(wt, list(ps.quotas), matching, dirty)
+            dirty.update(self._adj.get(pid, ()))
+        weights, reused, recomputed = self._weights()
+        return (
+            _OverlayWeights(self._adj, weights),
+            _ClampedQuotas(self._peers, self._adj),
+            _PartnerView(self._partners, dirty),
+            dirty,
+            reused,
+            recomputed,
+        )
+
+    def _check_partners(self, peer_ids: Iterable[int]) -> None:
+        """Capacity, neighbour and symmetry checks of ``peer_ids``' partner sets.
+
+        The per-event form of :meth:`Matching.validate
+        <repro.core.matching.Matching.validate>`, run on the peers whose
+        partners a repair changed; raises the same
+        :class:`~repro.utils.validation.InvalidMatchingError`.
+        """
+        partners, adj = self._partners, self._adj
+        for v in peer_ids:
+            mine = partners[v]
+            quota = min(self._peers[v].quota, len(adj[v]))
+            if len(mine) > quota:
+                raise InvalidMatchingError(
+                    f"peer {v} has {len(mine)} connections, quota {quota}"
+                )
+            for q in mine:
+                if q not in adj[v]:
+                    raise InvalidMatchingError(
+                        f"matched edge ({v},{q}) is not a potential connection"
+                    )
+                if v not in partners[q]:
+                    raise InvalidMatchingError(f"matched edge ({v},{q}) is asymmetric")
+
+    def _repair(self, dirty_external: set[int]) -> RepairStats:
+        wt, quotas, partners, dirty, reused, recomputed = self._repair_inputs(
+            dirty_external
+        )
+        stats = greedy_repair(wt, quotas, partners, dirty)
         stats.weights_reused = reused
         stats.weights_recomputed = recomputed
-        matching.validate(ps)
-        self._store_matching(matching, ids)
+        self._check_partners(partners.changed)
         return stats

@@ -28,6 +28,10 @@ A violation does not raise here: the service reads the
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain, repeat
+from operator import gt
+
+import numpy as np
 
 from repro.core.satisfaction import static_increase
 
@@ -46,6 +50,39 @@ class GuardReport:
     @property
     def ok(self) -> bool:
         return not self.violations
+
+
+def _structure_holds(peers: dict, adj: dict, partners: dict) -> bool:
+    """Whether every partner set passes capacity, liveness and mutual consent.
+
+    The properties :meth:`ServiceGuard.check_structure` names peer by
+    peer, decided by C-level passes over the whole structure: every
+    holder is live, holds at most its quota and only overlay
+    neighbours, and every unordered partner pair is listed from both
+    ends.  The last makes every partner a holder, hence live.
+    """
+    live = peers.keys()
+    if not live >= partners.keys():
+        return False
+    holders = list(partners)
+    sets = list(partners.values())
+    sizes = list(map(len, sets))
+    if any(map(gt, sizes, [peers[pid].quota for pid in holders])):
+        return False
+    if not all(map(set.issubset, sets, map(adj.get, holders, repeat(())))):
+        return False
+    total = sum(sizes)
+    if not total:
+        return True
+    owners = np.repeat(np.array(holders, dtype=np.int64), sizes)
+    mates = np.fromiter(chain.from_iterable(sets), dtype=np.int64, count=total)
+    low = int(min(owners.min(), mates.min()))
+    base = int(max(owners.max(), mates.max())) - low + 1
+    codes = np.sort(
+        (np.minimum(owners, mates) - low) * base + (np.maximum(owners, mates) - low)
+    )
+    # symmetric exactly when every unordered pair's code occurs twice
+    return bool(np.array_equal(codes[0::2], codes[1::2]))
 
 
 class ServiceGuard:
@@ -70,12 +107,20 @@ class ServiceGuard:
     # -- structural invariants -----------------------------------------
 
     def check_structure(self, service, report: GuardReport) -> None:
-        """Capacity, liveness and mutual consent over the partner sets."""
+        """Capacity, liveness and mutual consent over the partner sets.
+
+        Every peer is checked on every pass, as whole-structure set and
+        array operations (:func:`_structure_holds`); only when those
+        fail are the partner sets walked peer by peer to name each
+        violation.
+        """
         peers = service._peers
         adj = service._adj
         partners = service._partners
+        report.checked_peers += len(partners)
+        if _structure_holds(peers, adj, partners):
+            return
         for pid, mine in partners.items():
-            report.checked_peers += 1
             peer = peers.get(pid)
             if peer is None:
                 report.violations.append(

@@ -41,8 +41,6 @@ from typing import Iterable, Optional
 import numpy as np
 
 from repro.core.backend import get_backend
-from repro.core.fast import FastInstance
-from repro.core.fast_lid import lid_matching_fast
 from repro.core.truncation import validate_max_rounds
 from repro.overlay.churn import (
     DynamicOverlay,
@@ -116,9 +114,10 @@ class MatchingService(DynamicOverlay):
         to incremental mode.
     warmstart_rounds:
         When set, every full re-solve is warm-started from a
-        ``max_rounds``-truncated LID run (the shared contract of
-        :mod:`repro.core.truncation`): the k-round feasible partial
-        matching — a *subset* of the LIC fixpoint, by lock nesting —
+        ``max_rounds``-truncated LID run on the service's backend (the
+        shared contract of :mod:`repro.core.truncation`): the k-round
+        feasible partial matching — a *subset* of the LIC fixpoint, by
+        lock nesting —
         seeds :func:`~repro.overlay.churn.greedy_repair`, which closes
         the gap to the exact fixpoint.  The served matching is
         identical to a cold solve (the fixpoint is unique); only the
@@ -188,14 +187,12 @@ class MatchingService(DynamicOverlay):
         unique, the result is exactly the cold solve's matching.
         """
         ps, ids, _ = self._compact_instance()
-        fi = FastInstance.from_preference_system(ps)
-        res = lid_matching_fast(fi, max_rounds=self.warmstart_rounds)
-        matching = res.matching
-        self.last_warmstart = greedy_repair(
-            fi.weight_table(), list(ps.quotas), matching, range(ps.n)
-        )
+        backend = get_backend(self.backend)
+        inst, wt = backend.lower(ps)
+        matching = backend.lid(inst, ps.quotas, max_rounds=self.warmstart_rounds).matching
+        self.last_warmstart = greedy_repair(wt, list(ps.quotas), matching, range(ps.n))
         if self._wcache is not None:
-            self._wcache.seed(fi.weight_table(), ids)
+            self._wcache.seed(wt, ids)
             self._weight_dirty.clear()
         self._store_matching(matching, ids)
 
@@ -206,20 +203,10 @@ class MatchingService(DynamicOverlay):
             self.full_rematch()
             self.counters["full_resolves"] += 1
             return RepairStats()
-        expanded = set(dirty_external)
-        for pid in dirty_external:
-            expanded.update(self._adj.get(pid, ()))
-        ps, ids, index = self._compact_instance()
-        wt, reused, recomputed = self._weights(ps, ids)
-        matching = self._matching_compact(index)
-        dirty = {index[pid] for pid in expanded if pid in index}
-        stats = greedy_repair(
-            wt,
-            list(ps.quotas),
-            matching,
-            dirty,
-            budget=self.repair_budget,
+        wt, quotas, partners, dirty, reused, recomputed = self._repair_inputs(
+            dirty_external
         )
+        stats = greedy_repair(wt, quotas, partners, dirty, budget=self.repair_budget)
         stats.weights_reused = reused
         stats.weights_recomputed = recomputed
         self.counters["resolutions"] += stats.resolutions
@@ -233,8 +220,7 @@ class MatchingService(DynamicOverlay):
                 self.counters["full_resolves"] += 1
                 return stats
             self.truncated_since_sync += 1
-        matching.validate(ps)
-        self._store_matching(matching, ids)
+        self._check_partners(partners.changed)
         return stats
 
     # -- churn beyond join/leave ---------------------------------------
@@ -349,6 +335,7 @@ class MatchingService(DynamicOverlay):
         Floats survive a JSON round-trip exactly in Python, so a
         restored service is *bit*-identical, not approximately equal.
         """
+        weights = None if self._wcache is None else self._wcache._w
         return {
             "backend": self.backend,
             "next_id": self._next_id,
@@ -375,12 +362,12 @@ class MatchingService(DynamicOverlay):
                 str(pid): sorted(v) for pid, v in sorted(self._partners.items())
             },
             "weight_dirty": sorted(self._weight_dirty),
+            # keys are unique, so sorting them alone orders the entries
+            # (the cache is patched in place, so its order is not sorted)
             "weights": (
                 None
-                if self._wcache is None
-                else [
-                    [a, b, w] for (a, b), w in sorted(self._wcache._w.items())
-                ]
+                if weights is None
+                else [[a, b, weights[(a, b)]] for a, b in sorted(weights)]
             ),
         }
 

@@ -60,6 +60,25 @@ class TestBackendFlag:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["churn", "--backend", "gpu"])
 
+    @pytest.mark.parametrize("backend", [[], ["--backend", "fast"],
+                                         ["--backend", "reference"]])
+    @pytest.mark.parametrize("flag", [["--shards", "2"], ["--shard-workers", "1"],
+                                      ["--jit"]])
+    def test_scenario_rejects_shard_flags_without_sharded(self, backend, flag, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["scenario", "geo_latency", "--n", "12", *backend, *flag])
+        assert exc.value.code != 0
+        assert flag[0] in capsys.readouterr().err
+
+    def test_scenario_sharded_takes_shard_flags(self, capsys):
+        argv = ["scenario", "geo_latency", "--n", "20", "--backend"]
+        assert main(argv + ["sharded", "--shards", "2", "--shard-workers", "0"]) == 0
+        sharded = capsys.readouterr().out.splitlines()
+        assert main(argv + ["fast"]) == 0
+        fast = capsys.readouterr().out.splitlines()
+        # same matching; message counts may differ across shard boundaries
+        assert sharded[:3] == fast[:3]
+
     def test_compare_fast_backend(self, capsys):
         assert main(["compare", "geo_latency", "--n", "20",
                      "--backend", "fast"]) == 0

@@ -1,5 +1,7 @@
 """Tests for dynamic overlays and exact incremental repair."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,12 @@ from repro.overlay.scenario import build_scenario
 def _dyn(n=24, seed=3, metric=None, backend="reference"):
     sc = build_scenario("geo_latency", n, seed=seed)
     return DynamicOverlay(sc.topology, sc.peers, metric or sc.metric, backend=backend)
+
+
+def _fresh_external_weights(dyn: DynamicOverlay) -> dict:
+    """A from-scratch eq.-9 build of ``dyn``'s instance, keyed by external ids."""
+    ps, ids, _ = dyn._fresh_instance()
+    return {(ids[i], ids[j]): w for (i, j), w in satisfaction_weights(ps).items()}
 
 
 def _assert_is_greedy_fixpoint(dyn: DynamicOverlay):
@@ -210,11 +218,8 @@ class TestFastBackend:
         rng = np.random.default_rng(19)
         for _ in range(4):
             dyn.leave(int(rng.choice(dyn.active_ids())))
-        ps, _ = dyn.instance()
-        cached_wt, _, _ = dyn._weights(*dyn._compact_instance()[:2])
-        fresh = satisfaction_weights(ps)
-        for i, j in ps.edges():
-            assert cached_wt.weight(i, j) == fresh.weight(i, j)  # bit-identical
+        cached, _, _ = dyn._weights()
+        assert cached == _fresh_external_weights(dyn)  # bit-identical
 
     def test_unrepaired_events_mark_weights_dirty(self):
         """repair=False leaves stale weights; the next repair must not
@@ -226,42 +231,47 @@ class TestFastBackend:
         neigh = [int(x) for x in rng.choice(ids, size=3, replace=False)]
         dyn.join(Peer(peer_id=-1, position=rng.uniform(0, 1, 2), quota=2), neigh)
         _assert_is_greedy_fixpoint(dyn)
-        ps, _ = dyn.instance()
-        cached_wt, _, _ = dyn._weights(*dyn._compact_instance()[:2])
-        fresh = satisfaction_weights(ps)
-        for i, j in ps.edges():
-            assert cached_wt.weight(i, j) == fresh.weight(i, j)
+        cached, _, _ = dyn._weights()
+        assert cached == _fresh_external_weights(dyn)
 
 
 class TestWeightCache:
     def test_cold_refresh_fills_cache(self):
-        dyn = _dyn(n=15, seed=2)  # reference overlay: just a ps supplier
-        ps, ids, _ = dyn._compact_instance()
-        cache = WeightCache()
-        wt, reused, recomputed = cache.refresh(ps, ids, set())
-        assert reused == 0 and recomputed == len(cache) == ps.m
-        fresh = satisfaction_weights(ps)
-        for i, j in ps.edges():
-            assert wt.weight(i, j) == fresh.weight(i, j)
+        dyn = _dyn(n=15, seed=2, backend="fast")
+        dyn._wcache.clear()  # an empty cache bulk-fills on the next refresh
+        weights, reused, recomputed = dyn._weights()
+        m = dyn.instance()[0].m
+        assert reused == 0 and recomputed == len(dyn._wcache) == m
+        assert weights == _fresh_external_weights(dyn)
 
     def test_warm_refresh_reuses_clean_entries(self):
-        dyn = _dyn(n=15, seed=2)
-        ps, ids, _ = dyn._compact_instance()
-        cache = WeightCache()
-        cache.refresh(ps, ids, set())
-        wt, reused, recomputed = cache.refresh(ps, ids, set())
-        assert recomputed == 0 and reused == ps.m
-        assert wt.m == ps.m
+        dyn = _dyn(n=15, seed=2, backend="fast")
+        m = dyn.instance()[0].m
+        weights, reused, recomputed = dyn._wcache.refresh(dyn._rows, dyn._peers, set())
+        assert recomputed == 0 and reused == m
+        assert len(weights) == m
 
     def test_dirty_nodes_force_recompute(self):
-        dyn = _dyn(n=15, seed=2)
+        dyn = _dyn(n=15, seed=2, backend="fast")
         ps, ids, _ = dyn._compact_instance()
-        cache = WeightCache()
-        cache.refresh(ps, ids, set())
+        cache = dyn._wcache
+        for key in cache._w:
+            cache._w[key] += 1.0  # only a recompute can restore a value
         dirty_peer = ids[0]
-        _, reused, recomputed = cache.refresh(ps, ids, {dirty_peer})
+        weights, reused, recomputed = cache.refresh(dyn._rows, dyn._peers, {dirty_peer})
         touched = sum(1 for i, j in ps.edges() if 0 in (i, j))
         assert recomputed == touched and reused == ps.m - touched
+        fresh = _fresh_external_weights(dyn)
+        assert {k for k in weights if weights[k] == fresh[k]} == {
+            k for k in fresh if dirty_peer in k
+        }
+
+    def test_leaver_entries_dropped_at_leave(self):
+        dyn = _dyn(n=15, seed=2, backend="fast")
+        victim = dyn.active_ids()[3]
+        dyn.leave(victim, repair=False)
+        assert not any(victim in key for key in dyn._wcache._w)
+        assert len(dyn._wcache) == dyn.instance()[0].m
 
     def test_clear(self):
         cache = WeightCache()
@@ -442,9 +452,17 @@ def _scan_repair(wt, quotas, matching, dirty, budget=None):
     return stats
 
 
+def _assert_same_repair(got, want):
+    """Identical stats, except that the heap repair examines no more edges."""
+    assert got.edges_scanned <= want.edges_scanned
+    assert dataclasses.replace(got, edges_scanned=want.edges_scanned) == want
+
+
 class TestRepairMatchesScanReference:
     """``greedy_repair`` keeps each node's weakest held key instead of
-    scanning its partners per candidate; matching and stats must not move."""
+    scanning its partners per candidate, and takes candidates from a heap
+    instead of re-sweeping the dirty region; the matching and every stat
+    but the (smaller) ``edges_scanned`` must not move."""
 
     @pytest.mark.parametrize("seed", range(12))
     def test_random_instances(self, seed):
@@ -472,7 +490,7 @@ class TestRepairMatchesScanReference:
             got = greedy_repair(wt, quotas, fast, set(dirty), budget=budget)
             want = _scan_repair(wt, quotas, ref, set(dirty), budget=budget)
             assert fast.edge_set() == ref.edge_set()
-            assert got == want
+            _assert_same_repair(got, want)
 
     def test_overlay_churn_trajectory(self):
         dyn = _dyn(n=40, seed=8, backend="fast")
@@ -485,8 +503,9 @@ class TestRepairMatchesScanReference:
             for a, b in list(matching.edges())[:3]:
                 matching.remove(a, b)
             fast, ref = matching.copy(), matching.copy()
-            assert greedy_repair(wt, list(ps.quotas), fast, set(dirty)) == _scan_repair(
-                wt, list(ps.quotas), ref, set(dirty)
+            _assert_same_repair(
+                greedy_repair(wt, list(ps.quotas), fast, set(dirty)),
+                _scan_repair(wt, list(ps.quotas), ref, set(dirty)),
             )
             assert fast.edge_set() == ref.edge_set()
             dyn.leave(int(rng.choice(dyn.active_ids())))
